@@ -3,6 +3,8 @@
 Run from the repository root: ``python -m pytest -q perfbench/tests``.
 """
 
+import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -50,14 +52,33 @@ def test_same_seed_gives_same_digest(tmp_path):
     for run in range(2):
         ix, _, requests = index_for(SMALL, 11, tmp_path / f"run{run}")
         answers = workloads.Answers(ix, requests)
-        parts = [answers.body(pos) for pos in range(len(requests))]
+        parts = [workloads.canonical(answers.body(pos)) for pos in range(len(requests))]
         assert answers.failures.count == 0, answers.failures.reasons
         digests.append(workloads.digest(parts))
     assert digests[0] == digests[1]
     ix, _, requests = index_for(SMALL, 12, tmp_path / "other")
     answers = workloads.Answers(ix, requests)
-    other = workloads.digest([answers.body(pos) for pos in range(len(requests))])
+    other = workloads.digest(
+        [workloads.canonical(answers.body(pos)) for pos in range(len(requests))]
+    )
     assert other != digests[0]
+
+
+def test_canonical_ignores_last_bit_score_changes_only():
+    doc = {
+        "entities": [{"entity": "t.a", "score": 0.7321}, {"entity": "t.b", "score": 0.5}],
+        "tables": ["t"],
+        "schema_version": "v",
+    }
+    body = json.dumps(doc).encode()
+    doc["entities"][0]["score"] = math.nextafter(0.7321, 1.0)
+    assert json.dumps(doc).encode() != body
+    assert workloads.canonical(json.dumps(doc).encode()) == workloads.canonical(body)
+    doc["entities"][0]["score"] = 0.7322
+    assert workloads.canonical(json.dumps(doc).encode()) != workloads.canonical(body)
+    doc["entities"][0]["score"] = 0.7321
+    doc["entities"].reverse()
+    assert workloads.canonical(json.dumps(doc).encode()) != workloads.canonical(body)
 
 
 @pytest.mark.parametrize("workload", [SMALL, SMALL_BM25, SMALL_SERVE])
@@ -95,8 +116,9 @@ def test_replay_equals_run_pipeline(workload, tmp_path):
 def test_traced_replay_checks_against_run_pipeline(tmp_path):
     ix, _, requests = index_for(SMALL_SERVE, 5, tmp_path)
     answers = workloads.Answers(ix, requests)
-    tracer, samples, positions, attempted = workloads.traced_replay(answers, 0.5)
-    assert attempted >= 1 and samples and answers.failures.count == 0
+    tracer, traced, untraced, positions, attempted = workloads.traced_replay(answers, 0.5)
+    assert attempted >= 2 and traced and untraced and answers.failures.count == 0
+    assert len(positions) == len(traced)
     metrics = workloads.layer_metrics(tracer, positions, answers)
     assert metrics["topk.calls"] == 2 * len(ix.schedule.steps)
     assert metrics["contextual.chunks_scored"] > 0

@@ -4,15 +4,15 @@ The traced run replays each query through the public stage functions in
 ``run_pipeline``'s order and records a span around every call. Counts come
 from wrapping the public ``similarity`` functions and ``topk.top_k_exact``
 where the modules that call them look them up; the wrappers are installed
-only for the traced phase and always restored. Spans stay in memory until
-the run ends.
+only around each traced replay and always restored. Spans stay in memory
+until the run ends.
 """
 
 from __future__ import annotations
 
 import time
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 from csr import contextual, relational, similarity, structural
@@ -77,6 +77,18 @@ class Tracer:
 
     def per_query_count(self, name: str, queries: list[int]) -> list[int]:
         return [self.counts.get((q, name), 0) for q in queries]
+
+
+class NullTracer:
+    """Records nothing: the replay's untraced reference for the tracing cost."""
+
+    query = None
+
+    def span(self, name: str):
+        return nullcontext()
+
+    def count(self, name: str, n: int = 1) -> None:
+        pass
 
 
 @contextmanager

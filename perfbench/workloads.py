@@ -23,6 +23,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from csr.similarity import SimilarityConfig
 from csr.structural import KnowledgeGraph
 from csr.synthetic import DEFAULT_SEED, GeneratorProfile, generate_synthetic
 
-from tracing import LAYER_SPANS, Tracer, instrumented, replay
+from tracing import LAYER_SPANS, NullTracer, Tracer, instrumented, replay
 
 HERE = Path(__file__).resolve().parent
 DIGESTS_PATH = HERE / "digests.json"
@@ -152,6 +153,20 @@ def percentile(samples: list[float], p: float) -> float:
 def summary(samples: list[float], p: float) -> float:
     """``percentile``, or 0.0 when nothing completed; such a run has failures."""
     return percentile(samples, p) if samples else 0.0
+
+
+def canonical(body: bytes) -> bytes:
+    """A response as the digest sees it: scores rounded to 9 significant digits.
+
+    Entity names, their order and the tables stay exact. A change that only
+    moves a score in its last bits, such as a vectorised dot product or a
+    reordered sum, keeps the digest; byte equality is kept for comparisons
+    within one build (repeats, replay, HTTP).
+    """
+    doc = json.loads(body)
+    for entity in doc["entities"]:
+        entity["score"] = float(f"{entity['score']:.9g}")
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
 
 
 def digest(parts: list[bytes]) -> str:
@@ -565,53 +580,75 @@ def check_reply(answers: Answers, pos: int, status: int, ctype: str, body: bytes
 # Traced phase
 
 
-def traced_replay(answers: Answers, seconds: float):
-    """Replay the valid requests through the stage functions with spans on.
+def timed_replay(answers: Answers, pos: int, tracer) -> float | None:
+    """Replay one request through the stage functions; its latency in ms.
 
-    Returns the tracer, each query's traced latency (ms) and each query's
-    request position; every traced response is checked against the
+    With a ``Tracer`` the spans and counting wrappers are on; with a
+    ``NullTracer`` neither is. The response is checked against the
     ``run_pipeline`` one for the same request.
     """
-    ix, requests = answers.ix, answers.requests
-    tracer = Tracer()
-    samples: dict[int, float] = {}
+    ix, request = answers.ix, answers.requests[pos]
+    traced = isinstance(tracer, Tracer)
+    source = "traced" if traced else "untraced replay"
+    try:
+        schedule = schedule_for(ix, request)
+        with instrumented(tracer) if traced else nullcontext():
+            t0 = time.perf_counter_ns()
+            with tracer.span("pipeline.query"):
+                output = replay(
+                    request.question,
+                    ix.chunk_index,
+                    ix.graph,
+                    ix.catalog,
+                    schedule,
+                    ix.config,
+                    tracer,
+                )
+                payload = respond(ix, request, output)
+            t1 = time.perf_counter_ns()
+    except Exception as exc:  # a failed query is counted, the run goes on
+        answers.failures.add(f"{source} request {pos}: {type(exc).__name__}: {exc}")
+        return None
+    if not answers.accept(pos, encode(payload), source):
+        return None
+    return (t1 - t0) / 1e6
+
+
+def traced_replay(answers: Answers, seconds: float):
+    """Replay each valid request twice: once traced, once under a ``NullTracer``.
+
+    The two replays of a request run back to back, in alternating order, so
+    the difference of their p50s is the cost of tracing alone. Returns the
+    tracer, the traced and untraced latencies (ms), each traced query's
+    request position and the number of replays attempted.
+    """
+    requests = answers.requests
+    tracer, null = Tracer(), NullTracer()
+    traced: list[float] = []
+    untraced: list[float] = []
     positions: dict[int, int] = {}
     valid = [pos for pos, r in enumerate(requests) if not r.invalid]
     deadline = time.perf_counter() + seconds
     query = 0
-    with instrumented(tracer):
-        while time.perf_counter() < deadline:
-            pos = valid[query % len(valid)]
-            request = requests[pos]
-            tracer.query = query
-            query += 1
-            try:
-                schedule = schedule_for(ix, request)
-                t0 = time.perf_counter_ns()
-                with tracer.span("pipeline.query"):
-                    output = replay(
-                        request.question,
-                        ix.chunk_index,
-                        ix.graph,
-                        ix.catalog,
-                        schedule,
-                        ix.config,
-                        tracer,
-                    )
-                    payload = respond(ix, request, output)
-                t1 = time.perf_counter_ns()
-            except Exception as exc:  # a failed query is counted, the run goes on
-                answers.failures.add(f"traced request {pos}: {type(exc).__name__}: {exc}")
+    while time.perf_counter() < deadline:
+        pos = valid[query % len(valid)]
+        tracer.query = query
+        for t in (tracer, null) if query % 2 else (null, tracer):
+            latency = timed_replay(answers, pos, t)
+            if latency is None:
                 continue
-            if answers.accept(pos, encode(payload), "traced"):
-                samples[tracer.query] = (t1 - t0) / 1e6
-                positions[tracer.query] = pos
+            if t is tracer:
+                traced.append(latency)
+                positions[query] = pos
+            else:
+                untraced.append(latency)
+        query += 1
     tracer.query = None
     # A timed run_pipeline answer for every traced request: it checks the
     # replay and gives run_pipeline's wall time for pipeline.overhead_ms.
     for pos in sorted(set(positions.values()) - set(answers.pipeline_ms)):
         answers.answer(pos)
-    return tracer, samples, positions, query
+    return tracer, traced, untraced, positions, 2 * query
 
 
 def layer_metrics(tracer: Tracer, positions: dict[int, int], answers: Answers) -> dict:
@@ -697,7 +734,9 @@ def serve_phase(answers: Answers, server: ServerProcess, seconds: float, trace: 
     for pos, status, ctype, body, rtt_ms in replies:
         statuses.setdefault(pos, status)
         ok, total = check_reply(answers, pos, status, ctype, body)
-        if ok:
+        # Invalid requests count as attempted and are checked, but their
+        # cheap 400s stay out of the latency and throughput samples.
+        if ok and not requests[pos].invalid:
             samples.append(rtt_ms)
             if total is not None:
                 overheads.append(rtt_ms - total)
@@ -737,14 +776,12 @@ def run(name: str, seed: int, seconds: float, trace: bool, work: Path, out_dir: 
     }
 
     if trace:
-        tracer, traced, positions, traced_attempted = traced_replay(answers, phase)
-        attempted += traced_attempted
+        tracer, traced, untraced, positions, replays = traced_replay(answers, phase)
+        attempted += replays
         metrics = layer_metrics(tracer, positions, answers)
         metrics.update(setup_layer_seconds(setup_tracer))
         metrics["service.overhead_ms"] = summary(overheads, 50)  # 0 in-process
-        metrics["trace.overhead_ms"] = summary(list(traced.values()), 50) - summary(
-            answers.latency_ms, 50
-        )
+        metrics["trace.overhead_ms"] = summary(traced, 50) - summary(untraced, 50)
         info["spans"] = len(tracer.spans) + len(setup_tracer.spans)
         write_trace(out_dir / f"{name}-seed{seed}-spans.json", tracer)
     else:
@@ -774,12 +811,10 @@ def run(name: str, seed: int, seconds: float, trace: bool, work: Path, out_dir: 
         if workload.serve and missing:
             answers.failures.add(f"{len(missing)} scored requests never sent: run too short")
         for pos in scored_positions(workload, requests):
+            body = None if requests[pos].invalid else answers.body(pos)
+            part = b"" if body is None else canonical(body)
             if workload.serve:
-                part = str(statuses.get(pos)).encode()
-                if not requests[pos].invalid:
-                    part += b" " + (answers.body(pos) or b"")
-            else:
-                part = answers.body(pos) or b""
+                part = str(statuses.get(pos)).encode() + b" " + part
             parts.append(part)
         info["digest"] = digest(parts)
         expected = recorded_digest(name)
