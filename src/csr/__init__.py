@@ -61,7 +61,6 @@ from .similarity import (
     SimilarityConfig,
     bm25_score,
     build_corpus_stats,
-    cosine_sim,
     embed,
     tokenize,
 )

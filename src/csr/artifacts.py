@@ -19,9 +19,9 @@ import numpy as np
 from .catalog import SchemaCatalog, load_catalog, lookup_table, to_document
 from .contextual import Chunk, ChunkIndex
 from .pipeline import PipelineConfig
-from .similarity import build_corpus_stats
+from .similarity import Corpus, build_corpus_stats
 from .sqlrefs import RelevantSet
-from .structural import KnowledgeGraph, Triplet
+from .structural import KnowledgeGraph, Triplet, export_triplets
 
 FORMAT_VERSION = "1"
 
@@ -91,21 +91,13 @@ def save_index(
         ]
     }
     files["chunks"] = {"chunks.json": _canonical_json(chunk_doc)}
-    files["chunks"].update(_vector_files("chunk_vectors", chunk_index.vectors))
+    files["chunks"].update(_vector_files("chunk_vectors", chunk_index.corpus.vectors))
 
     graph_lines = "\n".join(
-        json.dumps(
-            {
-                "column": catalog.column(t.field).name,
-                "table": catalog.table(t.table).name,
-                "surface": t.surface,
-            },
-            sort_keys=True,
-        )
-        for t in graph.triplets
+        json.dumps(record, sort_keys=True) for record in export_triplets(graph, catalog)
     )
     files["graph"] = {"graph.jsonl": graph_lines.encode("utf-8")}
-    files["graph"].update(_vector_files("graph_vectors", graph.vectors))
+    files["graph"].update(_vector_files("graph_vectors", graph.corpus.vectors))
 
     manifest: dict = {
         "format_version": FORMAT_VERSION,
@@ -162,12 +154,12 @@ def load_index(
                 sql=cdoc["sql"],
                 relevant=relevant,
                 contextualized=cdoc["contextualized"],
-                vector=vectors[i],
             )
         )
-    stats = build_corpus_stats([c.contextualized for c in chunks])
+    texts = [c.contextualized for c in chunks]
     chunk_index = ChunkIndex(
-        chunks=chunks, config=config.similarity, corpus_stats=stats, vectors=vectors
+        chunks=chunks,
+        corpus=Corpus(texts, config.similarity, build_corpus_stats(texts), vectors),
     )
 
     graph_vectors = _load_vectors(root, "graph_vectors")
@@ -185,12 +177,12 @@ def load_index(
                 f"graph references unknown column '{tdoc['table']}.{tdoc['column']}'"
             )
         triplets.append(Triplet(field=col.id, table=tid, surface=tdoc["surface"]))
-    graph_stats = build_corpus_stats([t.surface for t in triplets])
+    surfaces = [t.surface for t in triplets]
     graph = KnowledgeGraph(
         triplets=triplets,
-        config=config.similarity,
-        corpus_stats=graph_stats,
-        vectors=graph_vectors,
+        corpus=Corpus(
+            surfaces, config.similarity, build_corpus_stats(surfaces), graph_vectors
+        ),
     )
     return catalog, chunk_index, graph, config, manifest
 

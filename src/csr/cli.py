@@ -34,6 +34,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .service import RetrievalService, serve_forever
+from .similarity import EmbeddingProviderError
 from .structural import build_knowledge_graph
 from .synthetic import GeneratorProfile, ProfileError, generate_synthetic
 
@@ -101,6 +102,8 @@ def cmd_index(args) -> int:
         manifest = save_index(args.out, catalog, chunk_index, graph, config)
     except FileNotFoundError as exc:
         return _fail(EXIT_ERROR, error="file not found", path=str(exc.filename))
+    except EmbeddingProviderError as exc:
+        return _fail(EXIT_ERROR, error=str(exc), kind=exc.kind)
     except (CatalogError, ValueError, OSError) as exc:
         return _fail(EXIT_ERROR, error=str(exc))
     print(
@@ -143,6 +146,8 @@ def cmd_query(args) -> int:
         )
     except ScopeCollapsedError as exc:
         return _fail(EXIT_SCOPE_COLLAPSED, error=str(exc), iteration=exc.step)
+    except EmbeddingProviderError as exc:
+        return _fail(EXIT_ERROR, error=str(exc), kind=exc.kind)
     except ValueError as exc:
         return _fail(EXIT_ERROR, error=str(exc))
     if args.max_entities is not None:

@@ -10,19 +10,10 @@ chunks' table sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .catalog import SchemaCatalog, TableId, lookup_table
-from .similarity import (
-    CorpusStats,
-    SimilarityConfig,
-    bm25_score,
-    build_corpus_stats,
-    embed,
-    embed_batch,
-)
+from .similarity import Corpus, SimilarityConfig, build_corpus_stats, embed, embed_batch
 from .sqlrefs import RelevantSet, extract_relevant_set
 from .topk import top_k_exact
 
@@ -38,24 +29,12 @@ class Chunk:
     sql: str
     relevant: RelevantSet
     contextualized: str
-    vector: np.ndarray
 
 
 @dataclass
 class ChunkIndex:
     chunks: list[Chunk]
-    config: SimilarityConfig
-    corpus_stats: CorpusStats
-    vectors: np.ndarray  # (N, dimension)
-    # Pre-materialized rows and norms; scalar indexing into the matrix is
-    # too slow for the per-query exhaustive scan.
-    _rows: list[np.ndarray] = field(default_factory=list, repr=False)
-    _norms: list[float] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._rows:
-            self._rows = [self.vectors[i] for i in range(len(self.chunks))]
-            self._norms = [float(np.linalg.norm(r)) for r in self._rows]
+    corpus: Corpus  # over the contextualized texts, indexed by chunk id
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -135,15 +114,14 @@ def build_chunk_index(
                 sql=sql,
                 relevant=relevant,
                 contextualized=text,
-                vector=np.zeros(0),
             )
         )
 
     stats = build_corpus_stats(contextualized_texts)
     vectors = embed_batch(contextualized_texts, config, stats)
-    for chunk, vec in zip(chunks, vectors):
-        chunk.vector = vec
-    return ChunkIndex(chunks=chunks, config=config, corpus_stats=stats, vectors=vectors)
+    return ChunkIndex(
+        chunks=chunks, corpus=Corpus(contextualized_texts, config, stats, vectors)
+    )
 
 
 def _apply_table_override(
@@ -184,7 +162,11 @@ def retrieve_contextual(
     else:
         candidate_ids = list(range(len(index.chunks)))
 
-    scores = _score_chunks(index, question, candidate_ids)
+    corpus = index.corpus
+    qvec = None
+    if corpus.config.metric == "cosine":
+        qvec = embed(question, corpus.config, corpus.stats)
+    scores = corpus.score(question, qvec, candidate_ids)
     ranked = top_k_exact(scores, candidate_ids, k)
 
     tables: set[TableId] = set()
@@ -193,29 +175,3 @@ def retrieve_contextual(
     if scope is not None:
         tables &= scope
     return ContextualResult(ranked_chunks=ranked, tables=tables)
-
-
-def _score_chunks(
-    index: ChunkIndex, question: str, candidate_ids: list[int]
-) -> np.ndarray:
-    if index.config.metric == "bm25":
-        return np.array(
-            [
-                bm25_score(
-                    question,
-                    index.chunks[i].contextualized,
-                    index.corpus_stats,
-                    index.config,
-                )
-                for i in candidate_ids
-            ],
-            dtype=np.float64,
-        )
-    qvec = embed(question, index.config, index.corpus_stats)
-    qnorm = float(np.linalg.norm(qvec))
-    scores = np.empty(len(candidate_ids), dtype=np.float64)
-    rows, norms, dot = index._rows, index._norms, np.dot
-    for pos, i in enumerate(candidate_ids):
-        denom = qnorm * norms[i]
-        scores[pos] = dot(qvec, rows[i]) / denom if denom else 0.0
-    return scores

@@ -1,23 +1,23 @@
 """End-to-end retrieval: iterative narrowing, then join-candidate ranking.
 
-Each iteration runs the contextual and structural retrievers (concurrently
-by default; they share only immutable inputs) restricted to the previous
-iteration's table scope, then combines their table sets. Parameters shrink
-across iterations, so the scope chain is non-increasing. After the last
-iteration the relational ranker builds a hypergraph over the final scope
-and emits the top table.column join candidates.
+Each iteration runs the contextual retriever, then the structural one, both
+restricted to the previous iteration's table scope, and combines their
+table sets. Parameters shrink across iterations, so the scope chain is
+non-increasing. After the last iteration the relational ranker builds a
+hypergraph over the final scope and emits the top table.column join
+candidates.
 
-Outputs are deterministic for fixed inputs regardless of whether the two
-first-stage retrievals interleave; only the recorded wall-clock timings
-vary between runs, and they are excluded from the canonical payload.
+Everything runs on the calling thread: the stages are pure Python, so a
+thread pool would only contend for the interpreter lock. Outputs are
+deterministic for fixed inputs; only the recorded wall-clock timings vary
+between runs, and they are excluded from the canonical payload.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .catalog import SchemaCatalog, TableId, lookup_table
@@ -81,12 +81,11 @@ class PipelineConfig:
     schedule: IterationSchedule | None = None
     contextual_scope_mode: str = "intersect"  # intersect | filter_chunks
     unavailable_tables: tuple[str, ...] = ()
-    parallel: bool = True
 
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":
-        sim = SimilarityConfig(**doc.get("similarity", {}))
-        ranking = RankingConfig(**doc.get("ranking", {}))
+        sim = _section(SimilarityConfig, "similarity", doc.get("similarity", {}))
+        ranking = _section(RankingConfig, "ranking", doc.get("ranking", {}))
         schedule = None
         if "schedule" in doc:
             schedule = IterationSchedule.from_dict(doc["schedule"])
@@ -96,7 +95,6 @@ class PipelineConfig:
             schedule=schedule,
             contextual_scope_mode=doc.get("contextual_scope_mode", "intersect"),
             unavailable_tables=tuple(doc.get("unavailable_tables", ())),
-            parallel=bool(doc.get("parallel", True)),
         )
 
     def to_dict(self) -> dict:
@@ -115,13 +113,21 @@ class PipelineConfig:
             },
             "contextual_scope_mode": self.contextual_scope_mode,
             "unavailable_tables": list(self.unavailable_tables),
-            "parallel": self.parallel,
         }
         if self.similarity.external_endpoint:
             doc["similarity"]["external_endpoint"] = self.similarity.external_endpoint
         if self.schedule is not None:
             doc["schedule"] = self.schedule.to_dict()
         return doc
+
+
+def _section(cls, name: str, doc: dict):
+    """Build one config section, naming any key the section does not have."""
+    known = {f.name for f in fields(cls)}
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown {name} config key '{key}'")
+    return cls(**doc)
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
@@ -160,55 +166,32 @@ def run_pipeline(
     scope: set[TableId] | None = None
     start_total = time.perf_counter_ns()
 
-    pool = ThreadPoolExecutor(max_workers=2) if config.parallel else None
-    try:
-        for step_no, (k, l, _h) in enumerate(schedule.steps, start=1):
+    for step_no, (k, l, _h) in enumerate(schedule.steps, start=1):
+        t0 = time.perf_counter_ns()
+        ctx_tables = retrieve_contextual(
+            chunk_index, question, k, scope, config.contextual_scope_mode
+        ).tables
+        t1 = time.perf_counter_ns()
+        str_tables = retrieve_structural(graph, question, l, scope).tables
+        t2 = time.perf_counter_ns()
+        timings["contextual"] += (t1 - t0) // 1000
+        timings["structural"] += (t2 - t1) // 1000
 
-            def run_contextual(
-                k: int = k, scope: set[TableId] | None = scope
-            ) -> tuple[set[TableId], int]:
-                t0 = time.perf_counter_ns()
-                result = retrieve_contextual(
-                    chunk_index, question, k, scope, config.contextual_scope_mode
-                )
-                return result.tables, time.perf_counter_ns() - t0
-
-            def run_structural(
-                l: int = l, scope: set[TableId] | None = scope
-            ) -> tuple[set[TableId], int]:
-                t0 = time.perf_counter_ns()
-                result = retrieve_structural(graph, question, l, scope)
-                return result.tables, time.perf_counter_ns() - t0
-
-            if pool is not None:
-                ctx_future = pool.submit(run_contextual)
-                str_future = pool.submit(run_structural)
-                ctx_tables, ctx_ns = ctx_future.result()
-                str_tables, str_ns = str_future.result()
-            else:
-                ctx_tables, ctx_ns = run_contextual()
-                str_tables, str_ns = run_structural()
-            timings["contextual"] += ctx_ns // 1000
-            timings["structural"] += str_ns // 1000
-
-            if schedule.scope_combine == "intersection":
-                combined = ctx_tables & str_tables
-            else:
-                combined = ctx_tables | str_tables
-            per_stage.append(
-                StageTrace(
-                    iteration=step_no,
-                    contextual_tables=ctx_tables,
-                    structural_tables=str_tables,
-                    scope=combined,
-                )
+        if schedule.scope_combine == "intersection":
+            combined = ctx_tables & str_tables
+        else:
+            combined = ctx_tables | str_tables
+        per_stage.append(
+            StageTrace(
+                iteration=step_no,
+                contextual_tables=ctx_tables,
+                structural_tables=str_tables,
+                scope=combined,
             )
-            if not combined:
-                raise ScopeCollapsedError(step_no, per_stage)
-            scope = combined
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        )
+        if not combined:
+            raise ScopeCollapsedError(step_no, per_stage)
+        scope = combined
 
     assert scope is not None
     final_h = schedule.steps[-1][2]

@@ -17,16 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .catalog import Column, ColumnId, SchemaCatalog, Table, TableId
-from .similarity import (
-    SimilarityConfig,
-    bm25_score,
-    build_corpus_stats,
-    embed,
-    embed_batch,
-)
+from .similarity import Corpus, SimilarityConfig, build_corpus_stats, embed, embed_batch
 
 ENTITY_DESC_SEPARATOR = " — "
 
@@ -36,7 +28,6 @@ class RankingConfig:
     h: int = 16
     operator: str = "concat_names"  # concat_names | concat_with_descriptions
     weight_mode: str = "uniform"  # uniform | hyperedge_degree
-    unavailable_policy: str = "skip"  # fixed
 
     def __post_init__(self) -> None:
         if self.h < 1:
@@ -45,8 +36,6 @@ class RankingConfig:
             raise ValueError(f"unknown operator '{self.operator}'")
         if self.weight_mode not in ("uniform", "hyperedge_degree"):
             raise ValueError(f"unknown weight_mode '{self.weight_mode}'")
-        if self.unavailable_policy != "skip":
-            raise ValueError("unavailable_policy is fixed to 'skip'")
 
 
 @dataclass(frozen=True)
@@ -203,7 +192,13 @@ def hypergraph_rank(
         return []
 
     surfaces = [surface for _, _, surface in incidences]
-    raw = _score_surfaces(question, surfaces, sim)
+    stats = build_corpus_stats(surfaces)
+    qvec = vectors = None
+    if sim.metric == "cosine":
+        qvec = embed(question, sim, stats)
+        vectors = embed_batch(surfaces, sim, stats)
+    corpus = Corpus(surfaces, sim, stats, vectors)
+    raw = corpus.score(question, qvec, range(len(surfaces))).tolist()
 
     entities = []
     for (tid, cid, surface), similarity in zip(incidences, raw):
@@ -214,20 +209,3 @@ def hypergraph_rank(
         )
     entities.sort(key=lambda e: (-e.score, e.table, e.column))
     return entities[: config.h]
-
-
-def _score_surfaces(
-    question: str, surfaces: list[str], sim: SimilarityConfig
-) -> list[float]:
-    stats = build_corpus_stats(surfaces)
-    if sim.metric == "bm25":
-        return [bm25_score(question, s, stats, sim) for s in surfaces]
-    qvec = embed(question, sim, stats)
-    qnorm = float(np.linalg.norm(qvec))
-    vectors = embed_batch(surfaces, sim, stats)
-    scores = []
-    for vec in vectors:
-        vnorm = float(np.linalg.norm(vec))
-        denom = qnorm * vnorm
-        scores.append(float(np.dot(qvec, vec) / denom) if denom else 0.0)
-    return scores

@@ -8,8 +8,10 @@ Endpoints:
 All indexes are loaded once and never mutated, so any number of requests may
 be served concurrently; a semaphore caps how many retrievals run at once and
 the rest queue. Responses are deterministic for identical requests; stage
-timings are only attached when a request explicitly asks for them. Shutdown
-stops accepting connections and drains in-flight handlers.
+timings are only attached when a request explicitly asks for them. Errors
+are JSON: 400 for an invalid request, 422 when the scope collapses, 502 with
+the provider's ``kind`` when the external embedder fails. Shutdown stops
+accepting connections and drains in-flight handlers.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .pipeline import (
     default_schedule,
     run_pipeline,
 )
+from .similarity import EmbeddingProviderError
 from .structural import KnowledgeGraph
 
 logger = logging.getLogger(__name__)
@@ -63,7 +66,9 @@ class RetrievalService:
                 )
             max_entities = request_doc.get("max_entities")
             if max_entities is not None and (
-                not isinstance(max_entities, int) or max_entities < 1
+                not isinstance(max_entities, int)
+                or isinstance(max_entities, bool)
+                or max_entities < 1
             ):
                 return 400, {"error": "max_entities must be a positive integer"}
         except (KeyError, TypeError, ValueError) as exc:
@@ -81,6 +86,8 @@ class RetrievalService:
                 )
             except ScopeCollapsedError as exc:
                 return 422, {"error": str(exc), "step": exc.step}
+            except EmbeddingProviderError as exc:
+                return 502, {"error": str(exc), "kind": exc.kind}
         if max_entities is not None:
             output.entities = output.entities[:max_entities]
             output.tables = {e.table for e in output.entities}

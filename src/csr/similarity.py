@@ -3,9 +3,10 @@
 One tokenizer feeds everything: lowercase, split on non-alphanumeric
 characters, drop empties. On top of it sit a deterministic feature-hashed
 TF-IDF embedder (the default), a BM25 scorer, and a pluggable external
-embedding provider reached over HTTP. The built-in embedder needs no model
-assets, produces identical vectors for identical inputs, and is fast enough
-for exhaustive scans over corpora of a few thousand items.
+embedding provider reached over HTTP. ``Corpus`` is the one scoring core all
+three retrieval stages share. The built-in embedder needs no model assets,
+produces identical vectors for identical inputs, and is fast enough for
+exhaustive scans over corpora of a few thousand items.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -181,6 +183,11 @@ def _external_embed(texts: list[str], config: SimilarityConfig) -> np.ndarray:
             f"provider returned {found}",
             kind="rejection",
         )
+    if not np.isfinite(arr).all():
+        raise EmbeddingProviderError(
+            "embedding provider returned non-finite vector components",
+            kind="rejection",
+        )
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     np.divide(arr, norms, out=arr, where=norms > 0)
     return arr
@@ -223,16 +230,42 @@ def bm25_score(
     return score
 
 
-def sim_score(
-    question_vec: np.ndarray | None,
-    question_text: str,
-    doc_vec: np.ndarray | None,
-    doc_text: str,
-    stats: CorpusStats,
-    config: SimilarityConfig,
-) -> float:
-    """Score one (question, document) pair under the configured metric."""
-    if config.metric == "bm25":
-        return bm25_score(question_text, doc_text, stats, config)
-    assert question_vec is not None and doc_vec is not None
-    return cosine_sim(question_vec, doc_vec)
+@dataclass
+class Corpus:
+    """One scored document set: texts, their statistics and, when the texts
+    are embedded, one vector per text in text order.
+
+    Every stage scores through :meth:`score`, so the cosine and BM25
+    arithmetic lives in exactly one place.
+    """
+
+    texts: list[str]
+    config: SimilarityConfig
+    stats: CorpusStats
+    vectors: np.ndarray | None = None  # (len(texts), dimension)
+
+    def __post_init__(self) -> None:
+        # Pre-materialized rows and norms; scalar indexing into the matrix is
+        # too slow for the per-query exhaustive scan.
+        self._rows = [] if self.vectors is None else list(self.vectors)
+        self._norms = [float(np.linalg.norm(r)) for r in self._rows]
+
+    def score(
+        self, question: str, qvec: np.ndarray | None, ids: Sequence[int]
+    ) -> np.ndarray:
+        """Similarity of the question to each listed document, in ``ids``
+        order. Cosine needs the question's vector ``qvec``; BM25 ignores it.
+        """
+        if self.config.metric == "bm25":
+            texts, stats, config = self.texts, self.stats, self.config
+            return np.array(
+                [bm25_score(question, texts[i], stats, config) for i in ids],
+                dtype=np.float64,
+            )
+        qnorm = float(np.linalg.norm(qvec))
+        scores = np.empty(len(ids), dtype=np.float64)
+        rows, norms, dot = self._rows, self._norms, np.dot
+        for pos, i in enumerate(ids):
+            denom = qnorm * norms[i]
+            scores[pos] = dot(qvec, rows[i]) / denom if denom else 0.0
+        return scores

@@ -9,19 +9,10 @@ scan over triplet surfaces, optionally restricted to a table scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .catalog import ColumnId, SchemaCatalog, TableId
-from .similarity import (
-    CorpusStats,
-    SimilarityConfig,
-    bm25_score,
-    build_corpus_stats,
-    embed,
-    embed_batch,
-)
+from .similarity import Corpus, SimilarityConfig, build_corpus_stats, embed, embed_batch
 from .topk import top_k_exact
 
 RELATION_PHRASE = "is a column of"
@@ -37,17 +28,7 @@ class Triplet:
 @dataclass
 class KnowledgeGraph:
     triplets: list[Triplet]
-    config: SimilarityConfig
-    corpus_stats: CorpusStats
-    vectors: np.ndarray  # (len(triplets), dimension)
-    # Pre-materialized rows and norms for the per-query exhaustive scan.
-    _rows: list[np.ndarray] = field(default_factory=list, repr=False)
-    _norms: list[float] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._rows:
-            self._rows = [self.vectors[i] for i in range(len(self.triplets))]
-            self._norms = [float(np.linalg.norm(r)) for r in self._rows]
+    corpus: Corpus  # over the triplet surfaces, in triplet order
 
     def __len__(self) -> int:
         return len(self.triplets)
@@ -90,7 +71,7 @@ def build_knowledge_graph(
     stats = build_corpus_stats(surfaces)
     vectors = embed_batch(surfaces, config, stats)
     return KnowledgeGraph(
-        triplets=triplets, config=config, corpus_stats=stats, vectors=vectors
+        triplets=triplets, corpus=Corpus(surfaces, config, stats, vectors)
     )
 
 
@@ -115,36 +96,14 @@ def retrieve_structural(
             i for i, t in enumerate(graph.triplets) if t.table in scope
         ]
 
-    scores = _score_triplets(graph, question, candidate_ids)
+    corpus = graph.corpus
+    qvec = None
+    if corpus.config.metric == "cosine":
+        qvec = embed(question, corpus.config, corpus.stats)
+    scores = corpus.score(question, qvec, candidate_ids)
     ranked = top_k_exact(scores, candidate_ids, l)
     tables = {graph.triplets[i].table for i, _ in ranked}
     return StructuralResult(ranked_triplets=ranked, tables=tables)
-
-
-def _score_triplets(
-    graph: KnowledgeGraph, question: str, candidate_ids: list[int]
-) -> np.ndarray:
-    if graph.config.metric == "bm25":
-        return np.array(
-            [
-                bm25_score(
-                    question,
-                    graph.triplets[i].surface,
-                    graph.corpus_stats,
-                    graph.config,
-                )
-                for i in candidate_ids
-            ],
-            dtype=np.float64,
-        )
-    qvec = embed(question, graph.config, graph.corpus_stats)
-    qnorm = float(np.linalg.norm(qvec))
-    scores = np.empty(len(candidate_ids), dtype=np.float64)
-    rows, norms, dot = graph._rows, graph._norms, np.dot
-    for pos, i in enumerate(candidate_ids):
-        denom = qnorm * norms[i]
-        scores[pos] = dot(qvec, rows[i]) / denom if denom else 0.0
-    return scores
 
 
 def export_triplets(graph: KnowledgeGraph, catalog: SchemaCatalog) -> list[dict]:

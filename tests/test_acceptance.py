@@ -5,7 +5,6 @@ per criterion. Every tolerance is pinned here; nothing is deferred to
 runtime calibration.
 """
 
-import dataclasses
 import json
 import math
 import random
@@ -186,9 +185,7 @@ def test_criterion_3_structural_counts():
 
 def test_criterion_4_pipeline_monotonicity():
     """Scope chains shrink and retrieve-everything recall is 1.0."""
-    config = PipelineConfig(
-        similarity=SimilarityConfig(dimension=128), parallel=False
-    )
+    config = PipelineConfig(similarity=SimilarityConfig(dimension=128))
     worlds = _random_worlds(4, base_seed=900)
     questions_checked = 0
     for catalog, trace, index, graph, rng in worlds:
@@ -336,28 +333,27 @@ def test_criterion_8_metric_exactness():
 
 
 def test_criterion_9_determinism_and_parallel_equivalence():
-    """Canonical outputs byte-identical across runs and execution modes."""
+    """Canonical outputs byte-identical across three runs per question."""
     catalog, trace = generate_synthetic(
         GeneratorProfile(table_count=25, query_count=60, seed=33)
     )
-    par_config = PipelineConfig(similarity=SimilarityConfig(dimension=256))
-    seq_config = dataclasses.replace(par_config, parallel=False)
-    index = build_chunk_index(trace, catalog, par_config.similarity)
-    graph = build_knowledge_graph(catalog, par_config.similarity)
+    config = PipelineConfig(similarity=SimilarityConfig(dimension=256))
+    index = build_chunk_index(trace, catalog, config.similarity)
+    graph = build_knowledge_graph(catalog, config.similarity)
     schedule = IterationSchedule(steps=((6, 30, 16), (3, 12, 16)))
     rng = random.Random(9119)
     checked = 0
     for _ in range(100):
         question = _random_question(rng, trace)
         payloads = set()
-        for config in (par_config, par_config, seq_config):
+        for _run in range(3):
             output = run_pipeline(question, index, graph, catalog, schedule, config)
             payloads.add(
                 json.dumps(build_query_response(output, catalog, "v"), sort_keys=True)
             )
         assert len(payloads) == 1, f"divergent outputs for {question!r}"
         checked += 1
-    _report(9, "determinism and parallel equivalence", checked == 100,
+    _report(9, "determinism", checked == 100,
             f"{checked} questions x3 runs")
 
 

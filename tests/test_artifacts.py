@@ -12,7 +12,7 @@ from csr.artifacts import (
 )
 from csr.catalog import to_document
 from csr.contextual import build_chunk_index
-from csr.pipeline import PipelineConfig
+from csr.pipeline import IterationSchedule, PipelineConfig, run_pipeline
 from csr.structural import build_knowledge_graph
 
 from conftest import SHOP_TRACE
@@ -33,8 +33,8 @@ def test_save_then_load_round_trips(built, tmp_path):
 
     r_catalog, r_index, r_graph, r_config, r_manifest = load_index(tmp_path)
     assert to_document(r_catalog) == to_document(catalog)
-    assert np.array_equal(r_index.vectors, index.vectors)
-    assert np.array_equal(r_graph.vectors, graph.vectors)
+    assert np.array_equal(r_index.corpus.vectors, index.corpus.vectors)
+    assert np.array_equal(r_graph.corpus.vectors, graph.corpus.vectors)
     assert [c.contextualized for c in r_index.chunks] == [
         c.contextualized for c in index.chunks
     ]
@@ -44,7 +44,7 @@ def test_save_then_load_round_trips(built, tmp_path):
     assert [(t.field, t.table, t.surface) for t in r_graph.triplets] == [
         (t.field, t.table, t.surface) for t in graph.triplets
     ]
-    assert r_index.corpus_stats.doc_freq == index.corpus_stats.doc_freq
+    assert r_index.corpus.stats.doc_freq == index.corpus.stats.doc_freq
     assert r_config.similarity == config.similarity
     assert r_manifest == manifest
 
@@ -90,11 +90,30 @@ def test_vector_sidecar_describes_payload(built, tmp_path):
     save_index(tmp_path, catalog, index, graph, config)
     meta = json.loads((tmp_path / "chunk_vectors.meta.json").read_text())
     assert meta["count"] == len(index)
-    assert meta["dimension"] == index.config.dimension
+    assert meta["dimension"] == index.corpus.config.dimension
     assert meta["dtype"] == "float64"
     assert meta["byte_order"] == "little"
     raw = (tmp_path / "chunk_vectors.bin").read_bytes()
     assert len(raw) == meta["count"] * meta["dimension"] * 8
+
+
+def test_manifest_with_legacy_parallel_key_loads_and_answers(built, tmp_path):
+    # Indexes written while the pipeline still had a ``parallel`` option carry
+    # it in their config snapshot; they load under the same format version.
+    catalog, index, graph, config = built
+    save_index(tmp_path, catalog, index, graph, config)
+    schedule = IterationSchedule(steps=((4, 8, 6), (2, 4, 4)))
+    question = "customer emails in the west region"
+    expected = run_pipeline(question, index, graph, catalog, schedule, config)
+    manifest_path = tmp_path / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    for legacy in (True, False):
+        doc["config"]["parallel"] = legacy
+        manifest_path.write_text(json.dumps(doc))
+        r_catalog, r_index, r_graph, r_config, _ = load_index(tmp_path)
+        output = run_pipeline(question, r_index, r_graph, r_catalog, schedule, r_config)
+        assert output.entities == expected.entities
+        assert output.entities
 
 
 def test_schema_version_tracks_catalog_content(built):

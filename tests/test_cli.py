@@ -73,6 +73,28 @@ class TestIndex:
         assert m1["artifacts"] == m2["artifacts"]
 
 
+    def test_unknown_config_key_exits_2_naming_it(self, inputs, capsys):
+        schema, trace, tmp_path = inputs
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ranking": {"unavailable_policy": "skip"}}))
+        code = main(
+            [
+                "index",
+                "--schema",
+                str(schema),
+                "--trace",
+                str(trace),
+                "--out",
+                str(tmp_path / "idx"),
+                "--config",
+                str(config),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "unavailable_policy" in json.loads(captured.err)["error"]
+
+
 class TestQuery:
     def test_json_output_with_entities(self, inputs, capsys):
         _, out, _ = _index(inputs, capsys)

@@ -17,17 +17,18 @@ from conftest import SHOP_TRACE
 
 def contextual_oracle(index, question, k, scope=None):
     """Score every chunk, full-sort by (score desc, id asc), slice k."""
-    if index.config.metric == "bm25":
+    corpus = index.corpus
+    if corpus.config.metric == "bm25":
         scored = [
             (
-                bm25_score(question, c.contextualized, index.corpus_stats, index.config),
+                bm25_score(question, c.contextualized, corpus.stats, corpus.config),
                 c.id,
             )
             for c in index.chunks
         ]
     else:
-        qv = embed(question, index.config, index.corpus_stats)
-        scored = [(cosine_sim(qv, c.vector), c.id) for c in index.chunks]
+        qv = embed(question, corpus.config, corpus.stats)
+        scored = [(cosine_sim(qv, corpus.vectors[c.id]), c.id) for c in index.chunks]
     ordered = sorted(scored, key=lambda t: (-t[0], t[1]))[:k]
     ranked = [(cid, score) for score, cid in ordered]
     tables = set()
@@ -71,15 +72,15 @@ class TestBuildIndex:
         index = build_chunk_index(SHOP_TRACE[:3], shop_catalog, small_config)
         assert len(index) == 3
         for chunk in index.chunks:
-            norm = np.linalg.norm(chunk.vector)
+            norm = np.linalg.norm(index.corpus.vectors[chunk.id])
             assert abs(norm - 1.0) < 1e-6 or norm == 0.0
             assert chunk.contextualized.startswith(chunk.question)
 
     def test_bit_identical_rebuild(self, shop_catalog, small_config):
         a = build_chunk_index(SHOP_TRACE, shop_catalog, small_config)
         b = build_chunk_index(SHOP_TRACE, shop_catalog, small_config)
-        assert np.array_equal(a.vectors, b.vectors)
-        assert a.corpus_stats.doc_freq == b.corpus_stats.doc_freq
+        assert np.array_equal(a.corpus.vectors, b.corpus.vectors)
+        assert a.corpus.stats.doc_freq == b.corpus.stats.doc_freq
         assert [c.contextualized for c in a.chunks] == [
             c.contextualized for c in b.chunks
         ]

@@ -5,18 +5,25 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+import requests
 
+from csr.artifacts import load_index, save_index
+from csr.cli import main
 from csr.contextual import build_chunk_index, retrieve_contextual
+from csr.pipeline import PipelineConfig
+from csr.service import RetrievalService, make_server
 from csr.similarity import (
     EmbeddingProviderError,
     SimilarityConfig,
     embed,
     embed_batch,
 )
+from csr.structural import build_knowledge_graph
 
-from conftest import SHOP_TRACE
+from conftest import SHOP_DOCUMENT, SHOP_TRACE
 
 DIMENSION = 128
+CLOSED_ENDPOINT = "http://127.0.0.1:9/embed"  # nothing listens there
 
 
 def stub_vector(text: str, dimension: int) -> list[float]:
@@ -42,9 +49,10 @@ def stub_provider():
                 self.end_headers()
                 return
             dim = 16 if state["mode"] == "wrong_dim" else DIMENSION
-            body = json.dumps(
-                {"vectors": [stub_vector(t, dim) for t in texts]}
-            ).encode()
+            vectors = [stub_vector(t, dim) for t in texts]
+            if state["mode"] == "nan":
+                vectors[-1][3] = float("nan")
+            body = json.dumps({"vectors": vectors}).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -91,7 +99,7 @@ class TestExternalProvider:
             assert np.array_equal(embed(text, config), row)
 
     def test_transport_failure_kind(self):
-        config = _config("http://127.0.0.1:9/embed")  # nothing listens there
+        config = _config(CLOSED_ENDPOINT)
         with pytest.raises(EmbeddingProviderError) as err:
             embed("x", config)
         assert err.value.kind == "transport"
@@ -111,6 +119,14 @@ class TestExternalProvider:
             embed("x", _config(endpoint))
         state["mode"] = "ok"
 
+    def test_non_finite_vector_rejected(self, stub_provider):
+        endpoint, state = stub_provider
+        state["mode"] = "nan"
+        with pytest.raises(EmbeddingProviderError, match="non-finite") as err:
+            embed_batch(["alpha", "beta"], _config(endpoint))
+        assert err.value.kind == "rejection"
+        state["mode"] = "ok"
+
     def test_missing_endpoint_rejected(self):
         config = SimilarityConfig(embedder="external", dimension=DIMENSION)
         with pytest.raises(EmbeddingProviderError) as err:
@@ -127,3 +143,86 @@ class TestExternalProvider:
         assert len(index) == len(SHOP_TRACE)
         result = retrieve_contextual(index, "open orders", k=2)
         assert len(result.ranked_chunks) == 2
+
+
+class TestUnreachableProvider:
+    """Provider failures during indexing or retrieval follow the error
+    contract: one JSON line and exit 2 on the CLI, a JSON 502 over HTTP."""
+
+    @pytest.fixture()
+    def unreachable_index(self, shop_catalog, small_config, tmp_path):
+        # Vectors built while a provider answered; the saved config now
+        # points at one that is down.
+        index = build_chunk_index(SHOP_TRACE, shop_catalog, small_config)
+        graph = build_knowledge_graph(shop_catalog, small_config)
+        config = PipelineConfig(similarity=_config(CLOSED_ENDPOINT))
+        save_index(tmp_path / "idx", shop_catalog, index, graph, config)
+        return tmp_path / "idx"
+
+    def test_cli_index_exits_2_with_kind(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(SHOP_DOCUMENT))
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(json.dumps(e) for e in SHOP_TRACE))
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "similarity": {
+                        "embedder": "external",
+                        "dimension": DIMENSION,
+                        "external_endpoint": CLOSED_ENDPOINT,
+                    }
+                }
+            )
+        )
+        code = main(
+            [
+                "index",
+                "--schema",
+                str(schema),
+                "--trace",
+                str(trace),
+                "--out",
+                str(tmp_path / "idx"),
+                "--config",
+                str(config),
+            ]
+        )
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert json.loads(err[0])["kind"] == "transport"
+
+    def test_cli_query_exits_2_with_kind(self, unreachable_index, capsys):
+        code = main(["query", "--index", str(unreachable_index), "open orders"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert json.loads(err[0])["kind"] == "transport"
+
+    def test_service_answers_502_with_kind(self, unreachable_index):
+        catalog, index, graph, config, manifest = load_index(unreachable_index)
+        service = RetrievalService(
+            catalog=catalog,
+            chunk_index=index,
+            graph=graph,
+            config=config,
+            schema_version=manifest["schema_version"],
+        )
+        server = make_server(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        try:
+            resp = requests.post(
+                f"http://127.0.0.1:{server.server_address[1]}/v1/retrieve",
+                json={"question": "open orders"},
+                timeout=10,
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert resp.status_code == 502
+        assert resp.json()["kind"] == "transport"

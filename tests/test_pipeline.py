@@ -94,21 +94,6 @@ class TestRunPipeline:
         assert output.per_stage[1].scope <= output.per_stage[0].scope
         assert len(output.entities) <= 4
 
-    def test_parallel_equals_sequential(self, shop_catalog, shop_pipeline):
-        index, graph, config = shop_pipeline
-        schedule = IterationSchedule(steps=((4, 8, 6), (2, 4, 4)))
-        seq_config = dataclasses.replace(config, parallel=False)
-        for question in [e["question"] for e in SHOP_TRACE]:
-            par = run_pipeline(question, index, graph, shop_catalog, schedule, config)
-            seq = run_pipeline(
-                question, index, graph, shop_catalog, schedule, seq_config
-            )
-            assert [(e.table, e.column, e.score) for e in par.entities] == [
-                (e.table, e.column, e.score) for e in seq.entities
-            ]
-            assert [s.scope for s in par.per_stage] == [s.scope for s in seq.per_stage]
-            assert par.tables == seq.tables
-
     def test_retrieve_everything_has_full_recall(self, shop_catalog, shop_pipeline):
         index, graph, config = shop_pipeline
         schedule = IterationSchedule(steps=((len(index), len(graph), 100),))
@@ -158,7 +143,7 @@ class TestRunPipeline:
     ):
         index, graph, _ = shop_pipeline
         config = PipelineConfig(
-            similarity=index.config, unavailable_tables=("orders",)
+            similarity=index.corpus.config, unavailable_tables=("orders",)
         )
         schedule = IterationSchedule(steps=((5, 24, 50),))
         output = run_pipeline(
@@ -176,13 +161,11 @@ class TestPipelineConfig:
             schedule=IterationSchedule(steps=((4, 8, 6), (2, 4, 4))),
             contextual_scope_mode="filter_chunks",
             unavailable_tables=("orders", "shipments"),
-            parallel=False,
         )
         restored = PipelineConfig.from_dict(config.to_dict())
         assert restored.schedule == config.schedule
         assert restored.contextual_scope_mode == "filter_chunks"
         assert restored.unavailable_tables == ("orders", "shipments")
-        assert restored.parallel is False
         assert restored.similarity == config.similarity
 
     def test_loads_from_file(self, tmp_path):

@@ -108,6 +108,17 @@ class TestEndpoints:
         )
         assert resp.status_code == 400
 
+    def test_bad_max_entities_is_400(self, running_service):
+        base, _ = running_service
+        for bad in (0, -1, 1.5, "2", True, False):
+            resp = requests.post(
+                base + "/v1/retrieve",
+                json={"question": "customer orders", "max_entities": bad},
+                timeout=5,
+            )
+            assert resp.status_code == 400, bad
+            assert "max_entities" in resp.json()["error"]
+
     def test_max_entities_truncates(self, running_service):
         base, _ = running_service
         resp = requests.post(

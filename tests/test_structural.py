@@ -17,19 +17,20 @@ def structural_oracle(graph, question, l, scope=None):
     candidates = [
         i for i, t in enumerate(graph.triplets) if scope is None or t.table in scope
     ]
-    if graph.config.metric == "bm25":
+    corpus = graph.corpus
+    if corpus.config.metric == "bm25":
         scored = [
             (
                 bm25_score(
-                    question, graph.triplets[i].surface, graph.corpus_stats, graph.config
+                    question, graph.triplets[i].surface, corpus.stats, corpus.config
                 ),
                 i,
             )
             for i in candidates
         ]
     else:
-        qv = embed(question, graph.config, graph.corpus_stats)
-        scored = [(cosine_sim(qv, graph.vectors[i]), i) for i in candidates]
+        qv = embed(question, corpus.config, corpus.stats)
+        scored = [(cosine_sim(qv, corpus.vectors[i]), i) for i in candidates]
     ordered = sorted(scored, key=lambda t: (-t[0], t[1]))[:l]
     ranked = [(i, s) for s, i in ordered]
     tables = {graph.triplets[i].table for i, _ in ranked}
@@ -64,7 +65,7 @@ class TestBuild:
         a = build_knowledge_graph(shop_catalog, small_config)
         b = build_knowledge_graph(shop_catalog, small_config)
         assert [t.surface for t in a.triplets] == [t.surface for t in b.triplets]
-        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a.corpus.vectors, b.corpus.vectors)
 
     @pytest.mark.parametrize(
         "tables,columns", [(50, 701), (100, 1486), (200, 2567), (246, 3021)]
