@@ -1,11 +1,13 @@
 """Persist and reload index artifacts with a hash-bearing manifest.
 
-Everything is stored binary-free except the embedding matrices, which are
-raw little-endian float64 arrays next to a JSON sidecar describing dtype,
-count, and dimension. JSON files are written canonically (sorted keys, no
-whitespace) so re-running an identical build produces identical bytes and
-identical content hashes. The manifest records a format version; loading a
-mismatched version fails fast.
+Only what the builders cannot compute again is stored: the catalog, each
+chunk's question, SQL and labels, and the two embedding matrices (raw
+little-endian float64 next to a JSON sidecar). Loading rebuilds the chunk
+index and the knowledge graph with the builders ``csr index`` uses, passing
+the saved vectors, and checks that their rows line up with the rebuilt
+items. JSON is written canonically (sorted keys, no whitespace), so an
+identical build produces identical bytes and content hashes. Loading any
+other format version fails fast; such an index must be rebuilt.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import SchemaCatalog, load_catalog, lookup_table, to_document
-from .contextual import Chunk, ChunkIndex
+from .catalog import SchemaCatalog, load_catalog, to_document
+from .contextual import ChunkIndex, index_labelled_chunks
 from .pipeline import PipelineConfig
-from .similarity import Corpus, build_corpus_stats
 from .sqlrefs import RelevantSet
-from .structural import KnowledgeGraph, Triplet, export_triplets
+from .structural import KnowledgeGraph, build_knowledge_graph
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 MANIFEST_NAME = "manifest.json"
 
@@ -71,7 +72,8 @@ def save_index(
     graph: KnowledgeGraph,
     config: PipelineConfig,
 ) -> dict:
-    """Write catalog, chunk, and graph artifacts plus the manifest."""
+    """Write the catalog, the labelled chunks and both embedding matrices,
+    plus the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -85,7 +87,6 @@ def save_index(
                 "sql": c.sql,
                 "tables": sorted(c.relevant.tables),
                 "columns": sorted([t, cid] for t, cid in c.relevant.columns),
-                "contextualized": c.contextualized,
             }
             for c in chunk_index.chunks
         ]
@@ -93,11 +94,7 @@ def save_index(
     files["chunks"] = {"chunks.json": _canonical_json(chunk_doc)}
     files["chunks"].update(_vector_files("chunk_vectors", chunk_index.corpus.vectors))
 
-    graph_lines = "\n".join(
-        json.dumps(record, sort_keys=True) for record in export_triplets(graph, catalog)
-    )
-    files["graph"] = {"graph.jsonl": graph_lines.encode("utf-8")}
-    files["graph"].update(_vector_files("graph_vectors", graph.corpus.vectors))
+    files["graph"] = _vector_files("graph_vectors", graph.corpus.vectors)
 
     manifest: dict = {
         "format_version": FORMAT_VERSION,
@@ -123,12 +120,12 @@ def load_index(
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ArtifactError(f"no manifest found in {root}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    found_version = str(manifest.get("format_version"))
+    manifest = _read_manifest(manifest_path)
+    found_version = str(manifest["format_version"])
     if found_version != FORMAT_VERSION:
         raise ArtifactVersionError(FORMAT_VERSION, found_version)
 
-    for artifact, entry in manifest["artifacts"].items():
+    for entry in manifest["artifacts"].values():
         for fname, expected_hash in entry["files"].items():
             path = root / fname
             if not path.is_file():
@@ -137,66 +134,64 @@ def load_index(
                 raise ArtifactError(f"artifact file corrupted: {path}")
 
     config = PipelineConfig.from_dict(manifest.get("config", {}))
+    similarity = config.similarity
     catalog = load_catalog(json.loads((root / "catalog.json").read_text("utf-8")))
 
     chunk_doc = json.loads((root / "chunks.json").read_text("utf-8"))
-    vectors = _load_vectors(root, "chunk_vectors")
-    chunks = []
-    for i, cdoc in enumerate(chunk_doc["chunks"]):
-        relevant = RelevantSet(
-            tables=set(cdoc["tables"]),
-            columns={(t, c) for t, c in cdoc["columns"]},
+    labelled = [
+        (
+            cdoc["question"],
+            cdoc["sql"],
+            RelevantSet(
+                tables=set(cdoc["tables"]),
+                columns={(t, c) for t, c in cdoc["columns"]},
+            ),
         )
-        chunks.append(
-            Chunk(
-                id=i,
-                question=cdoc["question"],
-                sql=cdoc["sql"],
-                relevant=relevant,
-                contextualized=cdoc["contextualized"],
-            )
-        )
-    texts = [c.contextualized for c in chunks]
-    chunk_index = ChunkIndex(
-        chunks=chunks,
-        corpus=Corpus(texts, config.similarity, build_corpus_stats(texts), vectors),
+        for cdoc in chunk_doc["chunks"]
+    ]
+    chunk_vectors = _load_vectors(
+        root, "chunk_vectors", len(labelled), similarity.dimension
     )
-
-    graph_vectors = _load_vectors(root, "graph_vectors")
-    triplets = []
-    for line in (root / "graph.jsonl").read_text("utf-8").splitlines():
-        if not line.strip():
-            continue
-        tdoc = json.loads(line)
-        tid = lookup_table(catalog, tdoc["table"])
-        if tid is None:
-            raise ArtifactError(f"graph references unknown table '{tdoc['table']}'")
-        col = catalog.table(tid).column_by_name(tdoc["column"])
-        if col is None:
-            raise ArtifactError(
-                f"graph references unknown column '{tdoc['table']}.{tdoc['column']}'"
-            )
-        triplets.append(Triplet(field=col.id, table=tid, surface=tdoc["surface"]))
-    surfaces = [t.surface for t in triplets]
-    graph = KnowledgeGraph(
-        triplets=triplets,
-        corpus=Corpus(
-            surfaces, config.similarity, build_corpus_stats(surfaces), graph_vectors
-        ),
+    chunk_index = index_labelled_chunks(labelled, catalog, similarity, chunk_vectors)
+    graph_vectors = _load_vectors(
+        root, "graph_vectors", catalog.column_count, similarity.dimension
     )
+    graph = build_knowledge_graph(catalog, similarity, graph_vectors)
     return catalog, chunk_index, graph, config, manifest
 
 
-def _load_vectors(root: Path, name: str) -> np.ndarray:
+def _read_manifest(path: Path) -> dict:
+    """The manifest document, or ArtifactError unless it is an object with a
+    format version and an ``artifacts`` map of ``files`` maps."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        artifacts = manifest["artifacts"]
+        valid = "format_version" in manifest and all(
+            isinstance(entry["files"], dict) for entry in artifacts.values()
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ArtifactError(f"malformed manifest: {exc!r}") from exc
+    if not valid:
+        raise ArtifactError("malformed manifest: no format_version or files map")
+    return manifest
+
+
+def _load_vectors(root: Path, name: str, count: int, dimension: int) -> np.ndarray:
+    """The saved matrix, which must hold one ``dimension``-wide row for each
+    of the ``count`` items derived from the other artifacts."""
     meta = json.loads((root / f"{name}.meta.json").read_text("utf-8"))
     if meta.get("dtype") != "float64" or meta.get("byte_order") != "little":
         raise ArtifactError(f"unsupported vector encoding in {name}.meta.json")
+    if (meta.get("count"), meta.get("dimension")) != (count, dimension):
+        raise ArtifactError(
+            f"{name} holds {meta.get('count')} vectors of dimension "
+            f"{meta.get('dimension')}, index needs {count} of dimension {dimension}"
+        )
     data = (root / f"{name}.bin").read_bytes()
-    count, dim = int(meta["count"]), int(meta["dimension"])
-    expected = count * dim * 8
+    expected = count * dimension * 8
     if len(data) != expected:
         raise ArtifactError(
             f"{name}.bin has {len(data)} bytes, sidecar implies {expected}"
         )
     arr = np.frombuffer(data, dtype="<f8")
-    return arr.reshape(count, dim).copy()
+    return arr.reshape(count, dimension).copy()

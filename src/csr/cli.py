@@ -1,8 +1,9 @@
 """Command-line surface: index, query, eval, bench, serve.
 
-Errors print one machine-parseable JSON line to stderr. Exit codes: 0 on
-success, 2 for validation or I/O failures, 3 when the retrieval scope
-collapses.
+Errors print one machine-parseable JSON line to stderr; ``main`` maps every
+error type to its exit code in one place. Exit codes: 0 on success, 2 for
+validation, I/O, artifact or embedding-provider failures, 3 when the
+retrieval scope collapses.
 """
 
 from __future__ import annotations
@@ -93,19 +94,12 @@ def _prepare_inputs(args) -> tuple:
 
 
 def cmd_index(args) -> int:
-    try:
-        config = _load_config(args.config)
-        catalog = load_catalog(args.schema)
-        trace = _load_trace(args.trace)
-        chunk_index = build_chunk_index(trace, catalog, config.similarity)
-        graph = build_knowledge_graph(catalog, config.similarity)
-        manifest = save_index(args.out, catalog, chunk_index, graph, config)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_ERROR, error="file not found", path=str(exc.filename))
-    except EmbeddingProviderError as exc:
-        return _fail(EXIT_ERROR, error=str(exc), kind=exc.kind)
-    except (CatalogError, ValueError, OSError) as exc:
-        return _fail(EXIT_ERROR, error=str(exc))
+    config = _load_config(args.config)
+    catalog = load_catalog(args.schema)
+    trace = _load_trace(args.trace)
+    chunk_index = build_chunk_index(trace, catalog, config.similarity)
+    graph = build_knowledge_graph(catalog, config.similarity)
+    manifest = save_index(args.out, catalog, chunk_index, graph, config)
     print(
         json.dumps(
             {
@@ -130,26 +124,14 @@ def _parse_schedule_flag(text: str) -> IterationSchedule:
 
 
 def cmd_query(args) -> int:
-    try:
-        catalog, chunk_index, graph, config, manifest = load_index(args.index)
-    except ArtifactError as exc:
-        return _fail(EXIT_ERROR, error=str(exc))
+    catalog, chunk_index, graph, config, manifest = load_index(args.index)
     if not args.question.strip():
         return _fail(EXIT_ERROR, error="question must be nonempty")
-    try:
-        if args.schedule:
-            schedule = _parse_schedule_flag(args.schedule)
-        else:
-            schedule = config.schedule or default_schedule(len(catalog.tables))
-        output = run_pipeline(
-            args.question, chunk_index, graph, catalog, schedule, config
-        )
-    except ScopeCollapsedError as exc:
-        return _fail(EXIT_SCOPE_COLLAPSED, error=str(exc), iteration=exc.step)
-    except EmbeddingProviderError as exc:
-        return _fail(EXIT_ERROR, error=str(exc), kind=exc.kind)
-    except ValueError as exc:
-        return _fail(EXIT_ERROR, error=str(exc))
+    if args.schedule:
+        schedule = _parse_schedule_flag(args.schedule)
+    else:
+        schedule = config.schedule or default_schedule(len(catalog.tables))
+    output = run_pipeline(args.question, chunk_index, graph, catalog, schedule, config)
     if args.max_entities is not None:
         output.entities = output.entities[: args.max_entities]
         output.tables = {e.table for e in output.entities}
@@ -165,45 +147,35 @@ def cmd_query(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        config = _load_config(args.config)
-        catalog, trace = _prepare_inputs(args)
-        if args.schedules:
-            with open(args.schedules, encoding="utf-8") as fh:
-                schedules = [IterationSchedule.from_dict(d) for d in json.load(fh)]
-        else:
-            schedules = default_sweep_schedules(len(catalog.tables))
-        rows = run_sweep(catalog, trace, schedules, config, args.hold_out_every)
-        write_sweep_csv(rows, args.out, group=args.group)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_ERROR, error="file not found", path=str(exc.filename))
-    except (CatalogError, ProfileError, ValueError, OSError) as exc:
-        return _fail(EXIT_ERROR, error=str(exc))
+    config = _load_config(args.config)
+    catalog, trace = _prepare_inputs(args)
+    if args.schedules:
+        with open(args.schedules, encoding="utf-8") as fh:
+            schedules = [IterationSchedule.from_dict(d) for d in json.load(fh)]
+    else:
+        schedules = default_sweep_schedules(len(catalog.tables))
+    rows = run_sweep(catalog, trace, schedules, config, args.hold_out_every)
+    write_sweep_csv(rows, args.out, group=args.group)
     print(json.dumps({"out": str(args.out), "rows": len(rows)}))
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    try:
-        config = _load_config(args.config)
-        catalog, trace = _prepare_inputs(args)
-        build, held = split_trace(trace)
-        chunk_index = build_chunk_index(build, catalog, config.similarity)
-        graph = build_knowledge_graph(catalog, config.similarity)
-        schedule = config.schedule or default_schedule(len(catalog.tables))
-        report = latency_bench(
-            chunk_index,
-            graph,
-            catalog,
-            schedule,
-            config,
-            [e["question"] for e in held],
-            repetitions=args.repetitions,
-        )
-    except FileNotFoundError as exc:
-        return _fail(EXIT_ERROR, error="file not found", path=str(exc.filename))
-    except (CatalogError, ProfileError, ValueError, OSError) as exc:
-        return _fail(EXIT_ERROR, error=str(exc))
+    config = _load_config(args.config)
+    catalog, trace = _prepare_inputs(args)
+    build, held = split_trace(trace)
+    chunk_index = build_chunk_index(build, catalog, config.similarity)
+    graph = build_knowledge_graph(catalog, config.similarity)
+    schedule = config.schedule or default_schedule(len(catalog.tables))
+    report = latency_bench(
+        chunk_index,
+        graph,
+        catalog,
+        schedule,
+        config,
+        [e["question"] for e in held],
+        repetitions=args.repetitions,
+    )
     doc = report.to_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2), encoding="utf-8")
@@ -212,10 +184,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    try:
-        catalog, chunk_index, graph, config, manifest = load_index(args.index)
-    except ArtifactError as exc:
-        return _fail(EXIT_ERROR, error=str(exc))
+    catalog, chunk_index, graph, config, manifest = load_index(args.index)
     host, _, port_text = args.bind.rpartition(":")
     try:
         port = int(port_text)
@@ -289,7 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScopeCollapsedError as exc:
+        return _fail(EXIT_SCOPE_COLLAPSED, error=str(exc), iteration=exc.step)
+    except FileNotFoundError as exc:
+        return _fail(EXIT_ERROR, error="file not found", path=str(exc.filename))
+    except EmbeddingProviderError as exc:
+        return _fail(EXIT_ERROR, error=str(exc), kind=exc.kind)
+    except (ArtifactError, CatalogError, ProfileError, ValueError, OSError) as exc:
+        return _fail(EXIT_ERROR, error=str(exc))
 
 
 if __name__ == "__main__":

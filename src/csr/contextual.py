@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .catalog import SchemaCatalog, TableId, lookup_table
 from .similarity import Corpus, SimilarityConfig, build_corpus_stats, embed, embed_batch
 from .sqlrefs import RelevantSet, extract_relevant_set
@@ -55,7 +57,11 @@ def contextualize(chunk_question: str, chunk_sql: str, catalog: SchemaCatalog) -
     plus a bare separator.
     """
     relevant = extract_relevant_set(chunk_sql, catalog)
-    return chunk_question + CONTEXT_SEPARATOR + describe_relevant(relevant, catalog)
+    return _with_context(chunk_question, relevant, catalog)
+
+
+def _with_context(question: str, relevant: RelevantSet, catalog: SchemaCatalog) -> str:
+    return question + CONTEXT_SEPARATOR + describe_relevant(relevant, catalog)
 
 
 def describe_relevant(relevant: RelevantSet, catalog: SchemaCatalog) -> str:
@@ -89,12 +95,8 @@ def build_chunk_index(
     ``sql``, and an optional ``tables`` list that overrides the extracted
     table set (columns are then restricted to the listed tables).
     """
-    if not trace:
-        raise ValueError("empty trace: chunk index needs at least one pair")
-
-    chunks: list[Chunk] = []
-    contextualized_texts: list[str] = []
-    for i, entry in enumerate(trace):
+    labelled: list[tuple[str, str, RelevantSet]] = []
+    for entry in trace:
         if isinstance(entry, dict):
             question = entry["question"]
             sql = entry["sql"]
@@ -105,23 +107,39 @@ def build_chunk_index(
         relevant = extract_relevant_set(sql, catalog)
         if override is not None:
             relevant = _apply_table_override(relevant, override, catalog)
-        text = question + CONTEXT_SEPARATOR + describe_relevant(relevant, catalog)
-        contextualized_texts.append(text)
-        chunks.append(
-            Chunk(
-                id=i,
-                question=question,
-                sql=sql,
-                relevant=relevant,
-                contextualized=text,
-            )
-        )
+        labelled.append((question, sql, relevant))
+    return index_labelled_chunks(labelled, catalog, config)
 
-    stats = build_corpus_stats(contextualized_texts)
-    vectors = embed_batch(contextualized_texts, config, stats)
-    return ChunkIndex(
-        chunks=chunks, corpus=Corpus(contextualized_texts, config, stats, vectors)
-    )
+
+def index_labelled_chunks(
+    labelled: list[tuple[str, str, RelevantSet]],
+    catalog: SchemaCatalog,
+    config: SimilarityConfig,
+    vectors: np.ndarray | None = None,
+) -> ChunkIndex:
+    """Contextualize and embed already-labelled ``(question, sql, relevant)``
+    triples; chunk ids follow list order.
+
+    ``vectors`` are previously computed embeddings of the contextualized
+    texts in chunk order (a saved index); when given, nothing is embedded.
+    """
+    if not labelled:
+        raise ValueError("empty trace: chunk index needs at least one pair")
+    chunks = [
+        Chunk(
+            id=i,
+            question=question,
+            sql=sql,
+            relevant=relevant,
+            contextualized=_with_context(question, relevant, catalog),
+        )
+        for i, (question, sql, relevant) in enumerate(labelled)
+    ]
+    texts = [c.contextualized for c in chunks]
+    stats = build_corpus_stats(texts)
+    if vectors is None:
+        vectors = embed_batch(texts, config, stats)
+    return ChunkIndex(chunks=chunks, corpus=Corpus(texts, config, stats, vectors))
 
 
 def _apply_table_override(

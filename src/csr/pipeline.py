@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .catalog import SchemaCatalog, TableId, lookup_table
@@ -84,50 +84,49 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("pipeline config must be a JSON object")
         sim = _section(SimilarityConfig, "similarity", doc.get("similarity", {}))
         ranking = _section(RankingConfig, "ranking", doc.get("ranking", {}))
-        schedule = None
-        if "schedule" in doc:
-            schedule = IterationSchedule.from_dict(doc["schedule"])
+        try:
+            schedule = None
+            if "schedule" in doc:
+                schedule = IterationSchedule.from_dict(doc["schedule"])
+            unavailable = tuple(doc.get("unavailable_tables", ()))
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"invalid pipeline config: {exc!r}") from exc
         return PipelineConfig(
             similarity=sim,
             ranking=ranking,
             schedule=schedule,
             contextual_scope_mode=doc.get("contextual_scope_mode", "intersect"),
-            unavailable_tables=tuple(doc.get("unavailable_tables", ())),
+            unavailable_tables=unavailable,
         )
 
     def to_dict(self) -> dict:
         doc = {
-            "similarity": {
-                "metric": self.similarity.metric,
-                "embedder": self.similarity.embedder,
-                "dimension": self.similarity.dimension,
-                "bm25_k1": self.similarity.bm25_k1,
-                "bm25_b": self.similarity.bm25_b,
-            },
-            "ranking": {
-                "h": self.ranking.h,
-                "operator": self.ranking.operator,
-                "weight_mode": self.ranking.weight_mode,
-            },
+            # asdict walks the same dataclass fields that _section accepts.
+            "similarity": asdict(self.similarity),
+            "ranking": asdict(self.ranking),
             "contextual_scope_mode": self.contextual_scope_mode,
             "unavailable_tables": list(self.unavailable_tables),
         }
-        if self.similarity.external_endpoint:
-            doc["similarity"]["external_endpoint"] = self.similarity.external_endpoint
         if self.schedule is not None:
             doc["schedule"] = self.schedule.to_dict()
         return doc
 
 
 def _section(cls, name: str, doc: dict):
-    """Build one config section, naming any key the section does not have."""
+    """Build one config section, naming any key the section does not have
+    and the section whose value has the wrong type."""
     known = {f.name for f in fields(cls)}
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"unknown {name} config key '{key}'")
-    return cls(**doc)
+    try:
+        for key in doc:
+            if key not in known:
+                raise ValueError(f"unknown {name} config key '{key}'")
+        return cls(**doc)
+    except TypeError as exc:
+        raise ValueError(f"invalid {name} config: {exc}") from exc
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:

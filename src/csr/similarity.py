@@ -163,21 +163,21 @@ def _external_embed(texts: list[str], config: SimilarityConfig) -> np.ndarray:
             kind="rejection",
         )
     try:
-        payload = resp.json()
-        vectors = payload["vectors"]
-    except (ValueError, KeyError) as exc:
+        # numpy raises ValueError for ragged or non-numeric rows.
+        arr = np.asarray(resp.json()["vectors"], dtype=np.float64)
+        count = len(arr)
+    except (ValueError, KeyError, TypeError) as exc:
         raise EmbeddingProviderError(
             f"embedding provider returned malformed payload: {exc}", kind="rejection"
         ) from exc
-    if len(vectors) != len(texts):
+    if count != len(texts):
         raise EmbeddingProviderError(
-            f"embedding provider returned {len(vectors)} vectors for "
+            f"embedding provider returned {count} vectors for "
             f"{len(texts)} texts",
             kind="rejection",
         )
-    arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != config.dimension:
-        found = arr.shape[1] if arr.ndim == 2 else "ragged"
+        found = arr.shape[1] if arr.ndim == 2 else f"shape {arr.shape}"
         raise EmbeddingProviderError(
             f"embedding dimension mismatch: expected {config.dimension}, "
             f"provider returned {found}",

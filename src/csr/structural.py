@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .catalog import ColumnId, SchemaCatalog, TableId
 from .similarity import Corpus, SimilarityConfig, build_corpus_stats, embed, embed_batch
 from .topk import top_k_exact
@@ -55,9 +57,15 @@ def triplet_surface(
 
 
 def build_knowledge_graph(
-    catalog: SchemaCatalog, config: SimilarityConfig
+    catalog: SchemaCatalog,
+    config: SimilarityConfig,
+    vectors: np.ndarray | None = None,
 ) -> KnowledgeGraph:
-    """One triplet per catalog column, in (table, column) order, embedded."""
+    """One triplet per catalog column, in (table, column) order, embedded.
+
+    ``vectors`` are previously computed surface embeddings in triplet order
+    (a saved index); when given, nothing is embedded.
+    """
     triplets: list[Triplet] = []
     surfaces: list[str] = []
     for table in catalog.tables:
@@ -69,7 +77,8 @@ def build_knowledge_graph(
             surfaces.append(surface)
 
     stats = build_corpus_stats(surfaces)
-    vectors = embed_batch(surfaces, config, stats)
+    if vectors is None:
+        vectors = embed_batch(surfaces, config, stats)
     return KnowledgeGraph(
         triplets=triplets, corpus=Corpus(surfaces, config, stats, vectors)
     )
@@ -104,15 +113,3 @@ def retrieve_structural(
     ranked = top_k_exact(scores, candidate_ids, l)
     tables = {graph.triplets[i].table for i, _ in ranked}
     return StructuralResult(ranked_triplets=ranked, tables=tables)
-
-
-def export_triplets(graph: KnowledgeGraph, catalog: SchemaCatalog) -> list[dict]:
-    """Inspection dump: one {column, table, surface} record per triplet."""
-    return [
-        {
-            "column": catalog.column(t.field).name,
-            "table": catalog.table(t.table).name,
-            "surface": t.surface,
-        }
-        for t in graph.triplets
-    ]

@@ -13,6 +13,7 @@ from csr.artifacts import (
 from csr.catalog import to_document
 from csr.contextual import build_chunk_index
 from csr.pipeline import IterationSchedule, PipelineConfig, run_pipeline
+from csr.similarity import SimilarityConfig
 from csr.structural import build_knowledge_graph
 
 from conftest import SHOP_TRACE
@@ -65,7 +66,7 @@ def test_version_mismatch_fails_fast(built, tmp_path):
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(ArtifactVersionError) as err:
         load_index(tmp_path)
-    assert err.value.expected == "1"
+    assert err.value.expected == "2"
     assert err.value.found == "99"
 
 
@@ -82,6 +83,56 @@ def test_corrupted_file_detected(built, tmp_path):
 
 def test_missing_manifest(tmp_path):
     with pytest.raises(ArtifactError, match="manifest"):
+        load_index(tmp_path)
+
+
+def test_writes_only_what_builders_cannot_derive(built, tmp_path):
+    catalog, index, graph, config = built
+    save_index(tmp_path, catalog, index, graph, config)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "catalog.json",
+        "chunk_vectors.bin",
+        "chunk_vectors.meta.json",
+        "chunks.json",
+        "graph_vectors.bin",
+        "graph_vectors.meta.json",
+        "manifest.json",
+    ]
+    chunk = json.loads((tmp_path / "chunks.json").read_text())["chunks"][0]
+    assert sorted(chunk) == ["columns", "question", "sql", "tables"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps({"format_version": "2"}),
+        json.dumps({"format_version": "2", "artifacts": []}),
+    ],
+    ids=["not-json", "no-artifacts", "artifacts-list"],
+)
+def test_malformed_manifest_is_artifact_error(built, tmp_path, text):
+    catalog, index, graph, config = built
+    save_index(tmp_path, catalog, index, graph, config)
+    (tmp_path / "manifest.json").write_text(text)
+    with pytest.raises(ArtifactError, match="manifest"):
+        load_index(tmp_path)
+
+
+def test_vectors_must_match_config_dimension(built, tmp_path):
+    catalog, index, graph, _ = built
+    assert index.corpus.config.dimension == 128
+    config = PipelineConfig(similarity=SimilarityConfig(dimension=256))
+    save_index(tmp_path, catalog, index, graph, config)
+    with pytest.raises(ArtifactError, match="dimension 256"):
+        load_index(tmp_path)
+
+
+def test_vectors_must_match_derived_item_count(built, tmp_path):
+    catalog, index, graph, config = built
+    index.chunks = index.chunks[:-1]
+    save_index(tmp_path, catalog, index, graph, config)
+    with pytest.raises(ArtifactError, match="chunk_vectors"):
         load_index(tmp_path)
 
 

@@ -94,6 +94,27 @@ class TestIndex:
         assert code == 2
         assert "unavailable_policy" in json.loads(captured.err)["error"]
 
+    def test_wrongly_typed_config_value_exits_2_naming_section(self, inputs, capsys):
+        schema, trace, tmp_path = inputs
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"similarity": {"dimension": "x"}}))
+        code = main(
+            [
+                "index",
+                "--schema",
+                str(schema),
+                "--trace",
+                str(trace),
+                "--out",
+                str(tmp_path / "idx"),
+                "--config",
+                str(config),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "similarity" in json.loads(captured.err)["error"]
+
 
 class TestQuery:
     def test_json_output_with_entities(self, inputs, capsys):
@@ -176,6 +197,17 @@ class TestQuery:
         assert code == 3
         err = json.loads(captured.err)
         assert err["iteration"] == 1
+
+    def test_format_1_index_exits_2_with_version_mismatch(self, inputs, capsys):
+        _, out, _ = _index(inputs, capsys)
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = "1"
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["query", "--index", str(out), "open orders"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "version mismatch" in json.loads(captured.err)["error"]
 
     def test_missing_index_dir_exits_2(self, tmp_path, capsys):
         code = main(["query", "--index", str(tmp_path / "nope"), "q"])

@@ -52,6 +52,8 @@ def stub_provider():
             vectors = [stub_vector(t, dim) for t in texts]
             if state["mode"] == "nan":
                 vectors[-1][3] = float("nan")
+            if state["mode"] == "ragged":
+                vectors[-1].pop()
             body = json.dumps({"vectors": vectors}).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
@@ -127,6 +129,14 @@ class TestExternalProvider:
         assert err.value.kind == "rejection"
         state["mode"] = "ok"
 
+    def test_ragged_vectors_rejected(self, stub_provider):
+        endpoint, state = stub_provider
+        state["mode"] = "ragged"
+        with pytest.raises(EmbeddingProviderError, match="malformed") as err:
+            embed_batch(["alpha", "beta"], _config(endpoint))
+        assert err.value.kind == "rejection"
+        state["mode"] = "ok"
+
     def test_missing_endpoint_rejected(self):
         config = SimilarityConfig(embedder="external", dimension=DIMENSION)
         with pytest.raises(EmbeddingProviderError) as err:
@@ -159,7 +169,10 @@ class TestUnreachableProvider:
         save_index(tmp_path / "idx", shop_catalog, index, graph, config)
         return tmp_path / "idx"
 
-    def test_cli_index_exits_2_with_kind(self, tmp_path, capsys):
+    @pytest.fixture()
+    def closed_port_inputs(self, tmp_path):
+        """--schema/--trace/--config flags for a config that embeds through
+        the closed port."""
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps(SHOP_DOCUMENT))
         trace = tmp_path / "trace.jsonl"
@@ -176,30 +189,30 @@ class TestUnreachableProvider:
                 }
             )
         )
-        code = main(
-            [
-                "index",
-                "--schema",
-                str(schema),
-                "--trace",
-                str(trace),
-                "--out",
-                str(tmp_path / "idx"),
-                "--config",
-                str(config),
-            ]
-        )
+        return ["--schema", str(schema), "--trace", str(trace), "--config", str(config)]
+
+    @staticmethod
+    def _assert_exit_2_with_kind(code, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2
         assert len(err) == 1
         assert json.loads(err[0])["kind"] == "transport"
 
+    def test_cli_index_exits_2_with_kind(self, closed_port_inputs, tmp_path, capsys):
+        code = main(["index", *closed_port_inputs, "--out", str(tmp_path / "idx")])
+        self._assert_exit_2_with_kind(code, capsys)
+
+    def test_cli_eval_exits_2_with_kind(self, closed_port_inputs, tmp_path, capsys):
+        code = main(["eval", *closed_port_inputs, "--out", str(tmp_path / "r.csv")])
+        self._assert_exit_2_with_kind(code, capsys)
+
+    def test_cli_bench_exits_2_with_kind(self, closed_port_inputs, capsys):
+        code = main(["bench", *closed_port_inputs, "--repetitions", "1"])
+        self._assert_exit_2_with_kind(code, capsys)
+
     def test_cli_query_exits_2_with_kind(self, unreachable_index, capsys):
         code = main(["query", "--index", str(unreachable_index), "open orders"])
-        err = capsys.readouterr().err.strip().splitlines()
-        assert code == 2
-        assert len(err) == 1
-        assert json.loads(err[0])["kind"] == "transport"
+        self._assert_exit_2_with_kind(code, capsys)
 
     def test_service_answers_502_with_kind(self, unreachable_index):
         catalog, index, graph, config, manifest = load_index(unreachable_index)

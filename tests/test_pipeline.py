@@ -12,6 +12,7 @@ from csr.pipeline import (
     run_pipeline,
 )
 from csr.relational import build_hypergraph, hypergraph_rank
+from csr.similarity import SimilarityConfig
 from csr.structural import build_knowledge_graph, retrieve_structural
 
 from conftest import SHOP_TRACE
@@ -158,6 +159,12 @@ class TestRunPipeline:
 class TestPipelineConfig:
     def test_full_round_trip(self):
         config = PipelineConfig(
+            similarity=SimilarityConfig(
+                embedder="external",
+                dimension=128,
+                external_endpoint="http://127.0.0.1:9/embed",
+                external_timeout=5.0,
+            ),
             schedule=IterationSchedule(steps=((4, 8, 6), (2, 4, 4))),
             contextual_scope_mode="filter_chunks",
             unavailable_tables=("orders", "shipments"),

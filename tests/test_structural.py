@@ -6,7 +6,6 @@ import pytest
 from csr.similarity import SimilarityConfig, bm25_score, cosine_sim, embed
 from csr.structural import (
     build_knowledge_graph,
-    export_triplets,
     retrieve_structural,
     triplet_surface,
 )
@@ -75,12 +74,6 @@ class TestBuild:
         graph = build_knowledge_graph(catalog, small_config)
         assert len(graph) == columns
         assert len(graph) == sum(len(t.columns) for t in catalog.tables)
-
-    def test_export_format(self, shop_catalog, small_config):
-        graph = build_knowledge_graph(shop_catalog, small_config)
-        dump = export_triplets(graph, shop_catalog)
-        assert len(dump) == len(graph)
-        assert set(dump[0]) == {"column", "table", "surface"}
 
 
 class TestRetrieve:
