@@ -28,6 +28,14 @@ FORMAT_VERSION = "2"
 
 MANIFEST_NAME = "manifest.json"
 
+# Every file of the format, by artifact; a manifest must list exactly these,
+# so no file is read unverified.
+FORMAT_FILES = {
+    "catalog": ["catalog.json"],
+    "chunks": ["chunk_vectors.bin", "chunk_vectors.meta.json", "chunks.json"],
+    "graph": ["graph_vectors.bin", "graph_vectors.meta.json"],
+}
+
 
 class ArtifactError(RuntimeError):
     pass
@@ -124,6 +132,13 @@ def load_index(
     found_version = str(manifest["format_version"])
     if found_version != FORMAT_VERSION:
         raise ArtifactVersionError(FORMAT_VERSION, found_version)
+    listed = {
+        name: sorted(entry["files"]) for name, entry in manifest["artifacts"].items()
+    }
+    if listed != FORMAT_FILES:
+        raise ArtifactError(
+            f"manifest lists {listed}, format {FORMAT_VERSION} needs {FORMAT_FILES}"
+        )
 
     for entry in manifest["artifacts"].values():
         for fname, expected_hash in entry["files"].items():
@@ -193,5 +208,5 @@ def _load_vectors(root: Path, name: str, count: int, dimension: int) -> np.ndarr
         raise ArtifactError(
             f"{name}.bin has {len(data)} bytes, sidecar implies {expected}"
         )
-    arr = np.frombuffer(data, dtype="<f8")
-    return arr.reshape(count, dimension).copy()
+    # Read-only over the file's bytes: nothing writes to a loaded index.
+    return np.frombuffer(data, dtype="<f8").reshape(count, dimension)

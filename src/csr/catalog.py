@@ -80,6 +80,10 @@ class SchemaCatalog:
     tables: list[Table]
     name_index: dict[str, TableId] = field(default_factory=dict)
     _columns: list[tuple[TableId, Column]] = field(default_factory=list, repr=False)
+    # Text derived from the catalog by later layers (rendered entities and
+    # their term counts), filled on first use. Entries are never changed, so
+    # concurrent readers at most compute one twice.
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name_index:

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import SchemaCatalog, TableId, lookup_table
-from .similarity import Corpus, SimilarityConfig, build_corpus_stats, embed, embed_batch
+from .similarity import (
+    Corpus,
+    SimilarityConfig,
+    corpus_stats,
+    embed,
+    embed_batch,
+    hashed_vectors,
+    token_counts,
+)
 from .sqlrefs import RelevantSet, extract_relevant_set
 from .topk import top_k_exact
 
@@ -136,10 +144,13 @@ def index_labelled_chunks(
         for i, (question, sql, relevant) in enumerate(labelled)
     ]
     texts = [c.contextualized for c in chunks]
-    stats = build_corpus_stats(texts)
-    if vectors is None:
+    counts = [token_counts(text) for text in texts]
+    stats = corpus_stats(counts)
+    if vectors is None and config.embedder == "external":
         vectors = embed_batch(texts, config, stats)
-    return ChunkIndex(chunks=chunks, corpus=Corpus(texts, config, stats, vectors))
+    elif vectors is None:
+        vectors = hashed_vectors(counts, config, stats)
+    return ChunkIndex(chunks=chunks, corpus=Corpus(counts, config, stats, vectors))
 
 
 def _apply_table_override(

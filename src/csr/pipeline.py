@@ -50,6 +50,11 @@ class IterationSchedule:
             raise ValueError("schedule needs at least one step")
         if self.scope_combine not in ("union", "intersection"):
             raise ValueError(f"unknown scope_combine '{self.scope_combine}'")
+        for step in self.steps:
+            if len(step) != 3 or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in step
+            ):
+                raise ValueError(f"schedule step {list(step)} must be three integers k,l,h")
         for k, l, h in self.steps:
             if k < 1 or l < 1 or h < 1:
                 raise ValueError("schedule parameters must be >= 1")

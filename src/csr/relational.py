@@ -15,10 +15,20 @@ ascending (table, column).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .catalog import Column, ColumnId, SchemaCatalog, Table, TableId
-from .similarity import Corpus, SimilarityConfig, build_corpus_stats, embed, embed_batch
+from .similarity import (
+    Corpus,
+    SimilarityConfig,
+    corpus_stats,
+    embed,
+    embed_batch,
+    token_counts,
+)
 
 ENTITY_DESC_SEPARATOR = " — "
 
@@ -179,33 +189,54 @@ def hypergraph_rank(
     ranking depends only on the hypergraph, catalog, and question.
     """
     incidences: list[tuple[TableId, ColumnId, str]] = []
+    counts = []
     for edge in hypergraph.hyperedges:
         for tid, cid in edge.members:
             if not hypergraph.availability.get(tid, True):
                 continue
-            surface = render_entity(
-                catalog.table(tid), catalog.column(cid), config.operator
-            )
+            surface, terms = _entity_terms(catalog, tid, cid, config.operator)
             incidences.append((tid, cid, surface))
+            counts.append(terms)
 
     if not incidences:
         return []
 
-    surfaces = [surface for _, _, surface in incidences]
-    stats = build_corpus_stats(surfaces)
+    stats = corpus_stats(counts)
     qvec = vectors = None
     if sim.metric == "cosine":
         qvec = embed(question, sim, stats)
-        vectors = embed_batch(surfaces, sim, stats)
-    corpus = Corpus(surfaces, sim, stats, vectors)
-    raw = corpus.score(question, qvec, range(len(surfaces))).tolist()
+        if sim.embedder == "external":
+            surfaces = [surface for _, _, surface in incidences]
+            vectors = embed_batch(surfaces, sim, stats)
+    corpus = Corpus(counts, sim, stats, vectors)
+    similarity = corpus.score(question, qvec, range(len(incidences)))
 
-    entities = []
-    for (tid, cid, surface), similarity in zip(incidences, raw):
-        weight = hypergraph.weights.get(tid, 0.0)
-        score = (similarity / weight) if weight > 0 else 0.0
-        entities.append(
-            SemanticEntity(table=tid, column=cid, surface=surface, score=score)
+    weights = np.array([hypergraph.weights.get(tid, 0.0) for tid, _, _ in incidences])
+    scores = np.divide(
+        similarity, weights, out=np.zeros(len(incidences)), where=weights > 0
+    )
+    tables = [tid for tid, _, _ in incidences]
+    columns = [cid for _, cid, _ in incidences]
+    # Descending score, ties by ascending (table, column).
+    top = np.lexsort((columns, tables, -scores))[: config.h].tolist()
+    return [
+        SemanticEntity(
+            table=tables[i],
+            column=columns[i],
+            surface=incidences[i][2],
+            score=float(scores[i]),
         )
-    entities.sort(key=lambda e: (-e.score, e.table, e.column))
-    return entities[: config.h]
+        for i in top
+    ]
+
+
+def _entity_terms(
+    catalog: SchemaCatalog, tid: TableId, cid: ColumnId, operator: str
+) -> tuple[str, Counter[str]]:
+    """The rendered entity and its term counts, tokenized once per catalog."""
+    key = ("entity", tid, cid, operator)
+    cached = catalog.derived.get(key)
+    if cached is None:
+        surface = render_entity(catalog.table(tid), catalog.column(cid), operator)
+        cached = catalog.derived[key] = (surface, token_counts(surface))
+    return cached

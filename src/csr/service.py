@@ -10,7 +10,8 @@ be served concurrently; a semaphore caps how many retrievals run at once and
 the rest queue. Responses are deterministic for identical requests; stage
 timings are only attached when a request explicitly asks for them. Errors
 are JSON: 400 for an invalid request, 422 when the scope collapses, 502 with
-the provider's ``kind`` when the external embedder fails. Shutdown stops
+the provider's ``kind`` when the external embedder fails, and 500, without
+the traceback, for any other fault during retrieval. Shutdown stops
 accepting connections and drains in-flight handlers.
 """
 
@@ -74,8 +75,8 @@ class RetrievalService:
         except (KeyError, TypeError, ValueError) as exc:
             return 400, {"error": f"invalid request: {exc}"}
 
-        with self._gate:
-            try:
+        try:
+            with self._gate:
                 output = run_pipeline(
                     question,
                     self.chunk_index,
@@ -84,19 +85,23 @@ class RetrievalService:
                     schedule,
                     self.config,
                 )
-            except ScopeCollapsedError as exc:
-                return 422, {"error": str(exc), "step": exc.step}
-            except EmbeddingProviderError as exc:
-                return 502, {"error": str(exc), "kind": exc.kind}
-        if max_entities is not None:
-            output.entities = output.entities[:max_entities]
-            output.tables = {e.table for e in output.entities}
-        payload = build_query_response(
-            output,
-            self.catalog,
-            self.schema_version,
-            include_timings=bool(request_doc.get("include_timings")),
-        )
+            if max_entities is not None:
+                output.entities = output.entities[:max_entities]
+                output.tables = {e.table for e in output.entities}
+            payload = build_query_response(
+                output,
+                self.catalog,
+                self.schema_version,
+                include_timings=bool(request_doc.get("include_timings")),
+            )
+        except ScopeCollapsedError as exc:
+            return 422, {"error": str(exc), "step": exc.step}
+        except EmbeddingProviderError as exc:
+            return 502, {"error": str(exc), "kind": exc.kind}
+        except Exception:
+            # Any other fault: the traceback goes to the server log only.
+            logger.exception("retrieval failed")
+            return 500, {"error": "internal error during retrieval"}
         return 200, payload
 
     def health(self) -> tuple[int, dict]:

@@ -4,9 +4,12 @@ One tokenizer feeds everything: lowercase, split on non-alphanumeric
 characters, drop empties. On top of it sit a deterministic feature-hashed
 TF-IDF embedder (the default), a BM25 scorer, and a pluggable external
 embedding provider reached over HTTP. ``Corpus`` is the one scoring core all
-three retrieval stages share. The built-in embedder needs no model assets,
-produces identical vectors for identical inputs, and is fast enough for
-exhaustive scans over corpora of a few thousand items.
+three retrieval stages share: it keeps posting lists (an inverted index over
+terms for BM25, over hash buckets for cosine), so a query touches only the
+documents that share a term or a bucket with it. The built-in embedder needs
+no model assets and produces identical vectors for identical inputs.
+``cosine_sim`` and ``bm25_score`` are the per-document definitions the
+corpus reproduces bit for bit; the tests use them as oracles.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 import requests
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -68,7 +72,8 @@ class CorpusStats:
 
 
 def tokenize(text: str) -> list[str]:
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    """The maximal runs of ASCII letters and digits in the lowercased text."""
+    return _TOKEN.findall(text.lower())
 
 
 @lru_cache(maxsize=65536)
@@ -80,21 +85,26 @@ def fnv1a64(token: str) -> int:
     return h
 
 
-def build_corpus_stats(docs: list[str]) -> CorpusStats:
-    """Document count, average token length, and per-term document frequency."""
-    doc_freq: dict[str, int] = {}
-    total_len = 0
-    for doc in docs:
-        toks = tokenize(doc)
-        total_len += len(toks)
-        for term in set(toks):
-            doc_freq[term] = doc_freq.get(term, 0) + 1
-    count = len(docs)
+def token_counts(text: str) -> Counter[str]:
+    """Term frequencies of one text, in order of first occurrence."""
+    return Counter(tokenize(text))
+
+
+def corpus_stats(counts: Sequence[Counter[str]]) -> CorpusStats:
+    """Document count, average token length, and per-term document frequency
+    of documents given by their term counts."""
+    count = len(counts)
+    total_len = sum(sum(doc.values()) for doc in counts)
     return CorpusStats(
         doc_count=count,
         avg_doc_len=(total_len / count) if count else 0.0,
-        doc_freq=doc_freq,
+        doc_freq=dict(Counter(chain.from_iterable(counts))),
     )
+
+
+def build_corpus_stats(docs: list[str]) -> CorpusStats:
+    """Document count, average token length, and per-term document frequency."""
+    return corpus_stats([token_counts(doc) for doc in docs])
 
 
 def _tfidf_idf(term: str, stats: CorpusStats | None) -> float:
@@ -104,6 +114,7 @@ def _tfidf_idf(term: str, stats: CorpusStats | None) -> float:
     df = stats.doc_freq.get(term, 0)
     return 1.0 + math.log((1 + stats.doc_count) / (1 + df))
 
+
 def embed(
     text: str,
     config: SimilarityConfig,
@@ -112,7 +123,7 @@ def embed(
     """Embed one text into a unit-norm vector (zero vector for empty text)."""
     if config.embedder == "external":
         return embed_batch([text], config, stats)[0]
-    return _embed_hashed_tfidf(text, config, stats)
+    return hashed_vectors([token_counts(text)], config, stats)[0]
 
 
 def embed_batch(
@@ -122,24 +133,65 @@ def embed_batch(
 ) -> np.ndarray:
     """Embed many texts; one HTTP round trip when the provider is external."""
     if config.embedder == "external":
-        vectors = _external_embed(texts, config)
-    else:
-        vectors = np.stack([_embed_hashed_tfidf(t, config, stats) for t in texts])
+        return _external_embed(texts, config)
+    return hashed_vectors([token_counts(t) for t in texts], config, stats)
+
+
+def hashed_vectors(
+    counts: Sequence[Counter[str]], config: SimilarityConfig, stats: CorpusStats | None
+) -> np.ndarray:
+    """The built-in embedder's unit-norm vectors (zero for empty documents)
+    of documents given by their term counts, one row each."""
+    docs, buckets, weights, _ = _hashed_rows(counts, config, stats)
+    vectors = np.zeros((len(counts), config.dimension), dtype=np.float64)
+    vectors[docs, buckets] = weights
     return vectors
 
 
-def _embed_hashed_tfidf(
-    text: str, config: SimilarityConfig, stats: CorpusStats | None
-) -> np.ndarray:
-    vec = np.zeros(config.dimension, dtype=np.float64)
-    counts = Counter(tokenize(text))
-    for term, tf in counts.items():
-        bucket = fnv1a64(term) % config.dimension
-        vec[bucket] += tf * _tfidf_idf(term, stats)
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
+def _hashed_rows(
+    counts: Sequence[Counter[str]], config: SimilarityConfig, stats: CorpusStats | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The built-in embedder's vectors in sparse form: the document, bucket
+    and weight of every non-zero entry, in document order, and each vector's
+    norm.
+
+    Every term adds ``tf * idf`` to its FNV-1a bucket, in order of first
+    occurrence, and the vector is divided by its norm. Norms are 1-D
+    ``np.linalg.norm`` of a dense scratch copy of the row, so they sum
+    exactly as for a dense vector.
+    """
+    dimension = config.dimension
+    terms: dict[str, tuple[int, float]] = {}  # term -> (bucket, idf)
+    flat_buckets: list[int] = []
+    flat_weights: list[float] = []
+    sizes: list[int] = []
+    for doc in counts:
+        raw: dict[int, float] = {}
+        for term, tf in doc.items():
+            hit = terms.get(term)
+            if hit is None:
+                hit = terms[term] = (fnv1a64(term) % dimension, _tfidf_idf(term, stats))
+            raw[hit[0]] = raw.get(hit[0], 0.0) + tf * hit[1]
+        flat_buckets.extend(raw)
+        flat_weights.extend(raw.values())
+        sizes.append(len(raw))
+    buckets = np.array(flat_buckets, dtype=np.intp)
+    weights = np.array(flat_weights, dtype=np.float64)
+    norms = np.zeros(len(counts), dtype=np.float64)
+    scratch = np.zeros(dimension, dtype=np.float64)
+    lo = 0
+    for doc, hi in enumerate(np.cumsum(sizes).tolist()):
+        row, values = buckets[lo:hi], weights[lo:hi]
+        scratch[row] = values
+        norm = float(np.linalg.norm(scratch))
+        if norm > 0.0:
+            values /= norm
+            scratch[row] = values
+            norms[doc] = np.linalg.norm(scratch)
+        scratch[row] = 0.0
+        lo = hi
+    docs = np.repeat(np.arange(len(counts)), sizes)
+    return docs, buckets, weights, norms
 
 
 def _external_embed(texts: list[str], config: SimilarityConfig) -> np.ndarray:
@@ -194,14 +246,23 @@ def _external_embed(texts: list[str], config: SimilarityConfig) -> np.ndarray:
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero when either vector is zero."""
+    """Cosine similarity in [-1, 1]; zero when the product of the norms is.
+
+    The dot product adds the non-zero products ``u[i] * v[i]`` one at a time
+    in ascending ``i``, starting from zero: the order in which
+    ``Corpus.score`` adds posting-list products, so the two agree bit for bit.
+    The norms are 1-D ``np.linalg.norm``.
+    """
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+    denom = float(np.linalg.norm(u)) * float(np.linalg.norm(v))
+    if denom == 0.0:
         return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    products = u * v
+    dot = 0.0
+    for product in products[products != 0.0].tolist():
+        dot += product
+    return dot / denom
 
 
 def bm25_score(
@@ -230,25 +291,92 @@ def bm25_score(
     return score
 
 
-@dataclass
-class Corpus:
-    """One scored document set: texts, their statistics and, when the texts
-    are embedded, one vector per text in text order.
+@dataclass(frozen=True)
+class _Postings:
+    """Documents grouped by key (a term id or a hash bucket): key ``k`` holds
+    ``docs[indptr[k]:indptr[k + 1]]``, ascending, with one value each."""
 
-    Every stage scores through :meth:`score`, so the cosine and BM25
-    arithmetic lives in exactly one place.
+    indptr: list[int]
+    docs: np.ndarray
+    values: np.ndarray
+
+    @staticmethod
+    def group(keys, docs, values, key_count: int) -> "_Postings":
+        keys = np.asarray(keys, dtype=np.int64)
+        # Stable, so each key's documents keep their ascending order.
+        order = np.argsort(keys, kind="stable")
+        ends = np.cumsum(np.bincount(keys, minlength=key_count)).tolist()
+        return _Postings(
+            indptr=[0, *ends],
+            docs=np.asarray(docs, dtype=np.int64)[order],
+            values=np.asarray(values, dtype=np.float64)[order],
+        )
+
+
+class Corpus:
+    """One scored document set, indexed once into posting lists.
+
+    Documents come as term counts (``token_counts``) with the statistics of
+    those counts. BM25 indexes every term's documents with their term
+    frequencies. Cosine indexes every hash bucket's documents with their
+    weights, taken from ``vectors`` when given (one row per document: a saved
+    index or the external embedder) and otherwise from the built-in embedder;
+    it also keeps each row's 1-D norm.
+
+    :meth:`score` applies ``bm25_score``'s or ``cosine_sim``'s arithmetic in
+    their order, one question term or bucket at a time, so its scores equal
+    theirs bit for bit. A corpus is read-only after construction and
+    ``score`` allocates its accumulator per call, so one corpus serves
+    concurrent queries.
     """
 
-    texts: list[str]
-    config: SimilarityConfig
-    stats: CorpusStats
-    vectors: np.ndarray | None = None  # (len(texts), dimension)
+    def __init__(
+        self,
+        counts: Sequence[Counter[str]],
+        config: SimilarityConfig,
+        stats: CorpusStats,
+        vectors: np.ndarray | None = None,
+    ) -> None:
+        self.config = config
+        self.stats = stats
+        self.vectors = vectors  # (documents, dimension) when given
+        self._size = len(counts)
+        if config.metric == "bm25":
+            self._index_terms(counts)
+        else:
+            self._index_buckets(counts)
 
-    def __post_init__(self) -> None:
-        # Pre-materialized rows and norms; scalar indexing into the matrix is
-        # too slow for the per-query exhaustive scan.
-        self._rows = [] if self.vectors is None else list(self.vectors)
-        self._norms = [float(np.linalg.norm(r)) for r in self._rows]
+    def _index_terms(self, counts: Sequence[Counter[str]]) -> None:
+        flat = list(chain.from_iterable(counts))
+        term_ids = {term: key for key, term in enumerate(dict.fromkeys(flat))}
+        keys = [term_ids[term] for term in flat]
+        docs = np.repeat(np.arange(len(counts)), [len(terms) for terms in counts])
+        tfs = [tf for terms in counts for tf in terms.values()]
+        postings = _Postings.group(keys, docs, tfs, len(term_ids))
+        k1, b, avg = self.config.bm25_k1, self.config.bm25_b, self.stats.avg_doc_len
+        lengths = np.array([sum(terms.values()) for terms in counts], dtype=np.int64)
+        len_ratio = lengths / avg if avg > 0 else np.zeros(len(counts))
+        # bm25_score's denominator is tf + k1 * (1 - b + b * len_ratio).
+        length_part = k1 * (1 - b + b * len_ratio)
+        tf = postings.values
+        self._term_ids = term_ids
+        self._terms = postings
+        self._bm25_num = tf * (k1 + 1)
+        self._bm25_den = tf + length_part[postings.docs]
+
+    def _index_buckets(self, counts: Sequence[Counter[str]]) -> None:
+        if self.vectors is not None:
+            # Same entries as flatnonzero(vectors); a boolean mask is faster.
+            flat = np.flatnonzero(self.vectors != 0.0)
+            docs, buckets = np.divmod(flat, self.vectors.shape[1])
+            weights = self.vectors.ravel()[flat]
+            norms = [np.linalg.norm(row) for row in self.vectors]
+        elif self.config.embedder == "external":
+            raise ValueError("a corpus for the external embedder needs its vectors")
+        else:
+            docs, buckets, weights, norms = _hashed_rows(counts, self.config, self.stats)
+        self._buckets = _Postings.group(buckets, docs, weights, self.config.dimension)
+        self._norms = np.array(norms, dtype=np.float64)
 
     def score(
         self, question: str, qvec: np.ndarray | None, ids: Sequence[int]
@@ -256,16 +384,34 @@ class Corpus:
         """Similarity of the question to each listed document, in ``ids``
         order. Cosine needs the question's vector ``qvec``; BM25 ignores it.
         """
+        ids = np.asarray(ids, dtype=np.int64)
+        acc = np.zeros(self._size, dtype=np.float64)
         if self.config.metric == "bm25":
-            texts, stats, config = self.texts, self.stats, self.config
-            return np.array(
-                [bm25_score(question, texts[i], stats, config) for i in ids],
-                dtype=np.float64,
-            )
+            self._add_bm25(acc, question)
+            return acc[ids]
         qnorm = float(np.linalg.norm(qvec))
-        scores = np.empty(len(ids), dtype=np.float64)
-        rows, norms, dot = self._rows, self._norms, np.dot
-        for pos, i in enumerate(ids):
-            denom = qnorm * norms[i]
-            scores[pos] = dot(qvec, rows[i]) / denom if denom else 0.0
-        return scores
+        if qnorm == 0.0:
+            return np.zeros(len(ids), dtype=np.float64)
+        postings = self._buckets
+        indptr, docs, weights = postings.indptr, postings.docs, postings.values
+        for bucket in np.flatnonzero(qvec).tolist():
+            lo, hi = indptr[bucket], indptr[bucket + 1]
+            if lo < hi:
+                acc[docs[lo:hi]] += qvec[bucket] * weights[lo:hi]
+        denom = qnorm * self._norms[ids]
+        out = np.zeros(len(ids), dtype=np.float64)
+        return np.divide(acc[ids], denom, out=out, where=denom != 0.0)
+
+    def _add_bm25(self, acc: np.ndarray, question: str) -> None:
+        stats, postings = self.stats, self._terms
+        for term in tokenize(question):
+            key = self._term_ids.get(term)
+            if key is None:
+                continue
+            lo, hi = postings.indptr[key], postings.indptr[key + 1]
+            n = stats.doc_freq[term]
+            idf = math.log(1 + (stats.doc_count - n + 0.5) / (n + 0.5))
+            acc[postings.docs[lo:hi]] += (
+                idf * self._bm25_num[lo:hi] / self._bm25_den[lo:hi]
+            )
+

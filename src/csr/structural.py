@@ -3,8 +3,9 @@
 The graph holds one triplet per column: (column, "is a column of", table),
 rendered as a short sentence that carries the available descriptions. No
 language model is involved in construction, so rebuilding from the same
-catalog always yields the same graph. Retrieval is an exhaustive similarity
-scan over triplet surfaces, optionally restricted to a table scope.
+catalog always yields the same graph. Retrieval scores the triplet surfaces
+through the corpus's posting lists; triplets are stored contiguously per
+table, so a table scope selects candidate ranges.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ColumnId, SchemaCatalog, TableId
-from .similarity import Corpus, SimilarityConfig, build_corpus_stats, embed, embed_batch
+from .similarity import (
+    Corpus,
+    SimilarityConfig,
+    corpus_stats,
+    embed,
+    embed_batch,
+    hashed_vectors,
+    token_counts,
+)
 from .topk import top_k_exact
 
 RELATION_PHRASE = "is a column of"
@@ -29,8 +38,9 @@ class Triplet:
 
 @dataclass
 class KnowledgeGraph:
-    triplets: list[Triplet]
+    triplets: list[Triplet]  # in (table, column) order: contiguous per table
     corpus: Corpus  # over the triplet surfaces, in triplet order
+    table_spans: dict[TableId, tuple[int, int]]  # table -> [first, end) triplet
 
     def __len__(self) -> int:
         return len(self.triplets)
@@ -67,20 +77,27 @@ def build_knowledge_graph(
     (a saved index); when given, nothing is embedded.
     """
     triplets: list[Triplet] = []
-    surfaces: list[str] = []
+    table_spans: dict[TableId, tuple[int, int]] = {}
     for table in catalog.tables:
+        first = len(triplets)
         for col in table.columns:
             surface = triplet_surface(
                 col.name, table.name, col.description, table.description
             )
             triplets.append(Triplet(field=col.id, table=table.id, surface=surface))
-            surfaces.append(surface)
+        table_spans[table.id] = (first, len(triplets))
 
-    stats = build_corpus_stats(surfaces)
-    if vectors is None:
+    surfaces = [t.surface for t in triplets]
+    counts = [token_counts(surface) for surface in surfaces]
+    stats = corpus_stats(counts)
+    if vectors is None and config.embedder == "external":
         vectors = embed_batch(surfaces, config, stats)
+    elif vectors is None:
+        vectors = hashed_vectors(counts, config, stats)
     return KnowledgeGraph(
-        triplets=triplets, corpus=Corpus(surfaces, config, stats, vectors)
+        triplets=triplets,
+        corpus=Corpus(counts, config, stats, vectors),
+        table_spans=table_spans,
     )
 
 
@@ -99,11 +116,12 @@ def retrieve_structural(
     if l < 1:
         raise ValueError("l must be >= 1")
     if scope is None:
-        candidate_ids = list(range(len(graph.triplets)))
+        candidate_ids = np.arange(len(graph.triplets))
     else:
-        candidate_ids = [
-            i for i, t in enumerate(graph.triplets) if t.table in scope
-        ]
+        spans = [graph.table_spans[t] for t in sorted(scope) if t in graph.table_spans]
+        candidate_ids = np.concatenate(
+            [np.arange(first, end) for first, end in spans] or [np.arange(0)]
+        )
 
     corpus = graph.corpus
     qvec = None

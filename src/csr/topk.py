@@ -15,10 +15,16 @@ import numpy as np
 def top_k_exact(
     scores: np.ndarray, ids: list[int], k: int
 ) -> list[tuple[int, float]]:
-    """First k (id, score) pairs by descending score, ties by ascending id."""
+    """First k (id, score) pairs by descending score, ties by ascending id.
+
+    Raises ValueError on a NaN or infinite score, which has no place in that
+    order.
+    """
     n = len(ids)
     if n == 0:
         return []
+    if not np.isfinite(scores).all():
+        raise ValueError("top-k selection needs finite scores")
     ids_arr = np.asarray(ids, dtype=np.int64)
     if k < n:
         kth_score = np.partition(scores, n - k)[n - k]

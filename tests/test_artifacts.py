@@ -119,6 +119,43 @@ def test_malformed_manifest_is_artifact_error(built, tmp_path, text):
         load_index(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda artifacts: artifacts.clear(),
+        lambda artifacts: artifacts["chunks"]["files"].pop("chunks.json"),
+        lambda artifacts: artifacts.pop("graph"),
+        lambda artifacts: artifacts["graph"]["files"].update({"extra.bin": "0" * 64}),
+    ],
+    ids=["empty", "file-unlisted", "artifact-unlisted", "extra-file"],
+)
+def test_manifest_must_list_exactly_the_format_files(built, tmp_path, edit):
+    catalog, index, graph, config = built
+    save_index(tmp_path, catalog, index, graph, config)
+    manifest_path = tmp_path / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    edit(doc["artifacts"])
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match="manifest lists"):
+        load_index(tmp_path)
+
+
+def test_unlisted_hand_edited_chunks_are_rejected(built, tmp_path):
+    """An emptied ``artifacts`` map must not let an edited file load unverified."""
+    catalog, index, graph, config = built
+    save_index(tmp_path, catalog, index, graph, config)
+    manifest_path = tmp_path / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["artifacts"] = {}
+    manifest_path.write_text(json.dumps(doc))
+    chunks_path = tmp_path / "chunks.json"
+    chunks = json.loads(chunks_path.read_text())
+    chunks["chunks"][0]["question"] = "tampered question"
+    chunks_path.write_text(json.dumps(chunks))
+    with pytest.raises(ArtifactError, match="manifest lists"):
+        load_index(tmp_path)
+
+
 def test_vectors_must_match_config_dimension(built, tmp_path):
     catalog, index, graph, _ = built
     assert index.corpus.config.dimension == 128

@@ -115,6 +115,27 @@ class TestIndex:
         assert code == 2
         assert "similarity" in json.loads(captured.err)["error"]
 
+    def test_boolean_schedule_step_exits_2(self, inputs, capsys):
+        schema, trace, tmp_path = inputs
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schedule": {"steps": [[True, 2, 2]]}}))
+        code = main(
+            [
+                "index",
+                "--schema",
+                str(schema),
+                "--trace",
+                str(trace),
+                "--out",
+                str(tmp_path / "idx"),
+                "--config",
+                str(config),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "three integers" in json.loads(captured.err)["error"]
+
 
 class TestQuery:
     def test_json_output_with_entities(self, inputs, capsys):

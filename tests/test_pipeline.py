@@ -1,6 +1,11 @@
 import dataclasses
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+
+from csr.catalog import load_catalog
 
 from csr.contextual import build_chunk_index, retrieve_contextual
 from csr.pipeline import (
@@ -15,7 +20,7 @@ from csr.relational import build_hypergraph, hypergraph_rank
 from csr.similarity import SimilarityConfig
 from csr.structural import build_knowledge_graph, retrieve_structural
 
-from conftest import SHOP_TRACE
+from conftest import SHOP_DOCUMENT, SHOP_TRACE
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +47,16 @@ class TestSchedule:
     def test_positive_parameters(self):
         with pytest.raises(ValueError):
             IterationSchedule(steps=((0, 1, 1),))
+
+    @pytest.mark.parametrize(
+        "step",
+        [(True, 2, 2), (2, False, 2), (2.0, 2, 2), (2, 2, "2"), (2, 2), (2, 2, 2, 2)],
+    )
+    def test_steps_must_be_three_integers(self, step):
+        with pytest.raises(ValueError, match="three integers"):
+            IterationSchedule(steps=(step,))
+        with pytest.raises(ValueError, match="three integers"):
+            IterationSchedule.from_dict({"steps": [list(step)]})
 
     def test_combine_enum(self):
         with pytest.raises(ValueError):
@@ -244,3 +259,35 @@ class TestQueryResponse:
             "relational",
             "total",
         }
+
+
+@pytest.mark.parametrize("metric", ["cosine", "bm25"])
+def test_concurrent_queries_on_a_fresh_catalog_match_sequential(metric):
+    """Request threads share the corpora and fill the catalog's entity cache
+    together; every answer must still equal the one-thread answer."""
+    config = PipelineConfig(similarity=SimilarityConfig(metric=metric, dimension=128))
+    schedule = IterationSchedule(steps=((4, 12, 8), (2, 6, 8)))
+    questions = [e["question"] for e in SHOP_TRACE] * 6
+
+    def world():
+        catalog = load_catalog(SHOP_DOCUMENT)  # empty entity cache
+        index = build_chunk_index(SHOP_TRACE, catalog, config.similarity)
+        graph = build_knowledge_graph(catalog, config.similarity)
+        return lambda q: json.dumps(
+            build_query_response(
+                run_pipeline(q, index, graph, catalog, schedule, config), catalog, "v"
+            )
+        )
+
+    answer = world()
+    expected = [answer(q) for q in questions]
+    answer = world()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(answer, q) for q in questions]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected

@@ -108,6 +108,18 @@ class TestEndpoints:
         )
         assert resp.status_code == 400
 
+    def test_non_integer_schedule_step_is_400(self, running_service):
+        base, _ = running_service
+        for steps in ([[True, 2, 2]], [[2, 2, 2.5]], [[2, 2]], ["abc"]):
+            resp = requests.post(
+                base + "/v1/retrieve",
+                json={"question": "x", "schedule_override": {"steps": steps}},
+                timeout=5,
+            )
+            assert resp.status_code == 400, steps
+            assert resp.headers["Content-Type"] == "application/json"
+            assert "error" in resp.json()
+
     def test_bad_max_entities_is_400(self, running_service):
         base, _ = running_service
         for bad in (0, -1, 1.5, "2", True, False):
@@ -137,6 +149,35 @@ class TestEndpoints:
             timeout=10,
         )
         assert "stage_timings_ms" in resp.json()
+
+
+def _broken_stage(*args, **kwargs):
+    raise KeyError("missing table id")
+
+
+class TestUnexpectedFault:
+    def test_stage_fault_is_json_500_without_traceback(
+        self, running_service, monkeypatch
+    ):
+        base, _ = running_service
+        monkeypatch.setattr("csr.pipeline.retrieve_structural", _broken_stage)
+        resp = requests.post(
+            base + "/v1/retrieve", json={"question": "customer orders"}, timeout=5
+        )
+        assert resp.status_code == 500
+        assert resp.headers["Content-Type"] == "application/json"
+        assert set(resp.json()) == {"error"}
+        assert "Traceback" not in resp.text and "missing table id" not in resp.text
+
+    def test_service_keeps_serving_after_a_fault(self, running_service, monkeypatch):
+        base, service = running_service
+        monkeypatch.setattr("csr.pipeline.retrieve_contextual", _broken_stage)
+        assert service.retrieve({"question": "customer orders"})[0] == 500
+        monkeypatch.undo()
+        resp = requests.post(
+            base + "/v1/retrieve", json={"question": "customer orders"}, timeout=5
+        )
+        assert resp.status_code == 200
 
 
 class TestConcurrency:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -221,3 +222,11 @@ class TestCorpusStats:
 
     def test_tokenization_rule(self):
         assert tokenize("Orders-By_Region  42!") == ["orders", "by", "region", "42"]
+
+    @given(st.text(alphabet=st.sampled_from("aZ9 _-.é|İ\n"), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_tokenize_matches_split_on_non_alphanumerics(self, text):
+        # The documented rule: lowercase, split on non-alphanumeric runs,
+        # drop empties.
+        expected = [t for t in re.split(r"[^0-9a-z]+", text.lower()) if t]
+        assert tokenize(text) == expected
