@@ -1,13 +1,21 @@
-"""Persist and reload index artifacts with a hash-bearing manifest.
+"""Persist and reload index artifacts with a self-checking manifest.
 
-Only what the builders cannot compute again is stored: the catalog, each
-chunk's question, SQL and labels, and the two embedding matrices (raw
-little-endian float64 next to a JSON sidecar). Loading rebuilds the chunk
-index and the knowledge graph with the builders ``csr index`` uses, passing
-the saved vectors, and checks that their rows line up with the rebuilt
-items. JSON is written canonically (sorted keys, no whitespace), so an
-identical build produces identical bytes and content hashes. Loading any
-other format version fails fast; such an index must be rebuilt.
+Only what the builders cannot compute again is stored: the catalog and each
+chunk's question, SQL and labels. The built-in embedder's vectors are
+recomputed from the term counts at load, so a ``hashed_tfidf`` index is
+exactly ``manifest.json``, ``catalog.json`` and ``chunks.json``. An
+``external`` embedder's vectors cannot be recomputed offline; for it the two
+embedding matrices are stored too (raw little-endian float64 next to a JSON
+sidecar), and loading checks that their rows line up with the rebuilt items.
+
+Loading rebuilds the chunk index and the knowledge graph with the builders
+``csr index`` uses. The manifest carries the SHA-256 of every file and, in
+``manifest_sha256``, of its own canonical JSON without that field; loading
+checks the format version first, so an index of another version fails fast
+and must be rebuilt, then the manifest's own hash, before any other field
+is used. The hashes detect edits and corruption; they are not a signature.
+JSON is written canonically (sorted keys, no whitespace), so an identical
+build produces identical bytes and content hashes.
 """
 
 from __future__ import annotations
@@ -24,17 +32,25 @@ from .pipeline import PipelineConfig
 from .sqlrefs import RelevantSet
 from .structural import KnowledgeGraph, build_knowledge_graph
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 MANIFEST_NAME = "manifest.json"
 
-# Every file of the format, by artifact; a manifest must list exactly these,
-# so no file is read unverified.
-FORMAT_FILES = {
-    "catalog": ["catalog.json"],
-    "chunks": ["chunk_vectors.bin", "chunk_vectors.meta.json", "chunks.json"],
-    "graph": ["graph_vectors.bin", "graph_vectors.meta.json"],
-}
+# The manifest field holding the hash of the rest of the manifest.
+SELF_HASH = "manifest_sha256"
+
+
+def format_files(embedder: str) -> dict[str, list[str]]:
+    """Every file of the format, by artifact, for an index built with
+    ``embedder``; a manifest must list exactly these, so no file is read
+    unverified."""
+    if embedder == "external":
+        return {
+            "catalog": ["catalog.json"],
+            "chunks": ["chunk_vectors.bin", "chunk_vectors.meta.json", "chunks.json"],
+            "graph": ["graph_vectors.bin", "graph_vectors.meta.json"],
+        }
+    return {"catalog": ["catalog.json"], "chunks": ["chunks.json"]}
 
 
 class ArtifactError(RuntimeError):
@@ -62,7 +78,9 @@ def schema_version_of(catalog: SchemaCatalog) -> str:
     return _sha256(_canonical_json(to_document(catalog)))[:12]
 
 
-def _vector_files(name: str, matrix: np.ndarray) -> dict[str, bytes]:
+def _vector_files(name: str, matrix: np.ndarray | None) -> dict[str, bytes]:
+    if matrix is None:
+        raise ValueError(f"{name}: an external-embedder index needs its vectors")
     data = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
     meta = {
         "dtype": "float64",
@@ -80,8 +98,8 @@ def save_index(
     graph: KnowledgeGraph,
     config: PipelineConfig,
 ) -> dict:
-    """Write the catalog, the labelled chunks and both embedding matrices,
-    plus the manifest."""
+    """Write the catalog, the labelled chunks, the external embedder's
+    matrices, and the self-hashed manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -100,9 +118,11 @@ def save_index(
         ]
     }
     files["chunks"] = {"chunks.json": _canonical_json(chunk_doc)}
-    files["chunks"].update(_vector_files("chunk_vectors", chunk_index.corpus.vectors))
-
-    files["graph"] = _vector_files("graph_vectors", graph.corpus.vectors)
+    if config.similarity.embedder == "external":
+        files["chunks"].update(
+            _vector_files("chunk_vectors", chunk_index.corpus.vectors)
+        )
+        files["graph"] = _vector_files("graph_vectors", graph.corpus.vectors)
 
     manifest: dict = {
         "format_version": FORMAT_VERSION,
@@ -116,14 +136,23 @@ def save_index(
             (out / fname).write_bytes(data)
             entry["files"][fname] = _sha256(data)
         manifest["artifacts"][artifact] = entry
+    manifest[SELF_HASH] = _self_hash(manifest)
     (out / MANIFEST_NAME).write_bytes(_canonical_json(manifest))
     return manifest
+
+
+def _self_hash(manifest: dict) -> str:
+    """SHA-256 of the manifest's canonical JSON without its own hash field."""
+    return _sha256(
+        _canonical_json({k: v for k, v in manifest.items() if k != SELF_HASH})
+    )
 
 
 def load_index(
     index_dir: str | Path,
 ) -> tuple[SchemaCatalog, ChunkIndex, KnowledgeGraph, PipelineConfig, dict]:
-    """Reload a saved index, verifying format version and content hashes."""
+    """Reload a saved index, verifying the format version, the manifest's
+    own hash, the listed file set and every file's hash."""
     root = Path(index_dir)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -132,12 +161,18 @@ def load_index(
     found_version = str(manifest["format_version"])
     if found_version != FORMAT_VERSION:
         raise ArtifactVersionError(FORMAT_VERSION, found_version)
+    if manifest.get(SELF_HASH) != _self_hash(manifest):
+        raise ArtifactError(f"manifest corrupted: {SELF_HASH} does not match")
+
+    config = PipelineConfig.from_dict(manifest.get("config", {}))
+    similarity = config.similarity
+    expected = format_files(similarity.embedder)
     listed = {
         name: sorted(entry["files"]) for name, entry in manifest["artifacts"].items()
     }
-    if listed != FORMAT_FILES:
+    if listed != expected:
         raise ArtifactError(
-            f"manifest lists {listed}, format {FORMAT_VERSION} needs {FORMAT_FILES}"
+            f"manifest lists {listed}, format {FORMAT_VERSION} needs {expected}"
         )
 
     for entry in manifest["artifacts"].values():
@@ -148,29 +183,32 @@ def load_index(
             if _sha256(path.read_bytes()) != expected_hash:
                 raise ArtifactError(f"artifact file corrupted: {path}")
 
-    config = PipelineConfig.from_dict(manifest.get("config", {}))
-    similarity = config.similarity
     catalog = load_catalog(json.loads((root / "catalog.json").read_text("utf-8")))
 
     chunk_doc = json.loads((root / "chunks.json").read_text("utf-8"))
-    labelled = [
-        (
-            cdoc["question"],
-            cdoc["sql"],
-            RelevantSet(
-                tables=set(cdoc["tables"]),
-                columns={(t, c) for t, c in cdoc["columns"]},
-            ),
+    try:
+        labelled = [
+            (
+                cdoc["question"],
+                cdoc["sql"],
+                RelevantSet(
+                    tables=set(cdoc["tables"]),
+                    columns={(t, c) for t, c in cdoc["columns"]},
+                ),
+            )
+            for cdoc in chunk_doc["chunks"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"malformed chunks.json: {exc!r}") from exc
+    chunk_vectors = graph_vectors = None
+    if similarity.embedder == "external":
+        chunk_vectors = _load_vectors(
+            root, "chunk_vectors", len(labelled), similarity.dimension
         )
-        for cdoc in chunk_doc["chunks"]
-    ]
-    chunk_vectors = _load_vectors(
-        root, "chunk_vectors", len(labelled), similarity.dimension
-    )
+        graph_vectors = _load_vectors(
+            root, "graph_vectors", catalog.column_count, similarity.dimension
+        )
     chunk_index = index_labelled_chunks(labelled, catalog, similarity, chunk_vectors)
-    graph_vectors = _load_vectors(
-        root, "graph_vectors", catalog.column_count, similarity.dimension
-    )
     graph = build_knowledge_graph(catalog, similarity, graph_vectors)
     return catalog, chunk_index, graph, config, manifest
 
@@ -195,6 +233,8 @@ def _load_vectors(root: Path, name: str, count: int, dimension: int) -> np.ndarr
     """The saved matrix, which must hold one ``dimension``-wide row for each
     of the ``count`` items derived from the other artifacts."""
     meta = json.loads((root / f"{name}.meta.json").read_text("utf-8"))
+    if not isinstance(meta, dict):
+        raise ArtifactError(f"malformed {name}.meta.json: not a JSON object")
     if meta.get("dtype") != "float64" or meta.get("byte_order") != "little":
         raise ArtifactError(f"unsupported vector encoding in {name}.meta.json")
     if (meta.get("count"), meta.get("dimension")) != (count, dimension):

@@ -21,7 +21,6 @@ from .similarity import (
     corpus_stats,
     embed,
     embed_batch,
-    hashed_vectors,
     token_counts,
 )
 from .sqlrefs import RelevantSet, extract_relevant_set
@@ -128,8 +127,10 @@ def index_labelled_chunks(
     """Contextualize and embed already-labelled ``(question, sql, relevant)``
     triples; chunk ids follow list order.
 
-    ``vectors`` are previously computed embeddings of the contextualized
-    texts in chunk order (a saved index); when given, nothing is embedded.
+    Only the external embedder stores vectors: ``vectors`` are its previously
+    computed embeddings of the contextualized texts in chunk order (a saved
+    index), and when given nothing is embedded. The built-in embedder's
+    vectors are computed from the term counts inside the corpus.
     """
     if not labelled:
         raise ValueError("empty trace: chunk index needs at least one pair")
@@ -148,8 +149,6 @@ def index_labelled_chunks(
     stats = corpus_stats(counts)
     if vectors is None and config.embedder == "external":
         vectors = embed_batch(texts, config, stats)
-    elif vectors is None:
-        vectors = hashed_vectors(counts, config, stats)
     return ChunkIndex(chunks=chunks, corpus=Corpus(counts, config, stats, vectors))
 
 

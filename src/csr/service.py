@@ -11,8 +11,12 @@ the rest queue. Responses are deterministic for identical requests; stage
 timings are only attached when a request explicitly asks for them. Errors
 are JSON: 400 for an invalid request, 422 when the scope collapses, 502 with
 the provider's ``kind`` when the external embedder fails, and 500, without
-the traceback, for any other fault during retrieval. Shutdown stops
-accepting connections and drains in-flight handlers.
+the traceback, for any other fault during retrieval. A request body is
+bounded: a ``Content-Length`` that is not a non-negative integer is a 400
+and one above ``MAX_BODY_BYTES`` a 413, both sent without reading the body,
+and a connection that stays silent for ``SOCKET_TIMEOUT_S`` (a body shorter
+than its header, say) is closed. Shutdown stops accepting connections and
+drains in-flight handlers.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .similarity import EmbeddingProviderError
 from .structural import KnowledgeGraph
 
 logger = logging.getLogger(__name__)
+
+MAX_BODY_BYTES = 1 << 20  # largest accepted request body
+SOCKET_TIMEOUT_S = 10.0  # longest wait for any read or write on a connection
 
 
 @dataclass
@@ -125,6 +132,9 @@ def make_server(service: RetrievalService, host: str, port: int) -> ThreadingHTT
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # A socket operation that times out ends the request and closes the
+        # connection (BaseHTTPRequestHandler.handle_one_request).
+        timeout = SOCKET_TIMEOUT_S
 
         def log_message(self, fmt, *args):  # route through logging, not stderr
             logger.debug("%s %s", self.address_string(), fmt % args)
@@ -153,8 +163,17 @@ def make_server(service: RetrievalService, host: str, port: int) -> ThreadingHTT
             if self.path != "/v1/retrieve":
                 self._send(404, {"error": f"unknown path {self.path}"})
                 return
+            declared = self.headers.get("Content-Length", "0")
+            if not (declared.isascii() and declared.isdigit()):
+                self._send(400, {"error": "Content-Length must be an integer >= 0"})
+                return
+            length = int(declared)
+            if length > MAX_BODY_BYTES:
+                self._send(
+                    413, {"error": f"request body over {MAX_BODY_BYTES} bytes"}
+                )
+                return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
                 raw = self.rfile.read(length)
                 doc = json.loads(raw) if raw else {}
             except (ValueError, json.JSONDecodeError) as exc:

@@ -156,9 +156,10 @@ def _hashed_rows(
     norm.
 
     Every term adds ``tf * idf`` to its FNV-1a bucket, in order of first
-    occurrence, and the vector is divided by its norm. Norms are 1-D
-    ``np.linalg.norm`` of a dense scratch copy of the row, so they sum
-    exactly as for a dense vector.
+    occurrence, and the vector is divided by its norm. Norms are
+    ``sqrt(x.dot(x))`` of a dense scratch copy ``x`` of the row, which is
+    what 1-D ``np.linalg.norm`` computes, so they sum exactly as for a dense
+    vector.
     """
     dimension = config.dimension
     terms: dict[str, tuple[int, float]] = {}  # term -> (bucket, idf)
@@ -183,11 +184,11 @@ def _hashed_rows(
     for doc, hi in enumerate(np.cumsum(sizes).tolist()):
         row, values = buckets[lo:hi], weights[lo:hi]
         scratch[row] = values
-        norm = float(np.linalg.norm(scratch))
+        norm = math.sqrt(scratch.dot(scratch))
         if norm > 0.0:
             values /= norm
             scratch[row] = values
-            norms[doc] = np.linalg.norm(scratch)
+            norms[doc] = math.sqrt(scratch.dot(scratch))
         scratch[row] = 0.0
         lo = hi
     docs = np.repeat(np.arange(len(counts)), sizes)
@@ -319,9 +320,9 @@ class Corpus:
     Documents come as term counts (``token_counts``) with the statistics of
     those counts. BM25 indexes every term's documents with their term
     frequencies. Cosine indexes every hash bucket's documents with their
-    weights, taken from ``vectors`` when given (one row per document: a saved
-    index or the external embedder) and otherwise from the built-in embedder;
-    it also keeps each row's 1-D norm.
+    weights, taken from ``vectors`` when given (the external embedder's, one
+    row per document) and otherwise computed from the counts by the built-in
+    embedder; it also keeps each row's 1-D norm.
 
     :meth:`score` applies ``bm25_score``'s or ``cosine_sim``'s arithmetic in
     their order, one question term or bucket at a time, so its scores equal

@@ -21,7 +21,6 @@ from .similarity import (
     corpus_stats,
     embed,
     embed_batch,
-    hashed_vectors,
     token_counts,
 )
 from .topk import top_k_exact
@@ -73,8 +72,10 @@ def build_knowledge_graph(
 ) -> KnowledgeGraph:
     """One triplet per catalog column, in (table, column) order, embedded.
 
-    ``vectors`` are previously computed surface embeddings in triplet order
-    (a saved index); when given, nothing is embedded.
+    Only the external embedder stores vectors: ``vectors`` are its previously
+    computed surface embeddings in triplet order (a saved index), and when
+    given nothing is embedded. The built-in embedder's vectors are computed
+    from the term counts inside the corpus.
     """
     triplets: list[Triplet] = []
     table_spans: dict[TableId, tuple[int, int]] = {}
@@ -92,8 +93,6 @@ def build_knowledge_graph(
     stats = corpus_stats(counts)
     if vectors is None and config.embedder == "external":
         vectors = embed_batch(surfaces, config, stats)
-    elif vectors is None:
-        vectors = hashed_vectors(counts, config, stats)
     return KnowledgeGraph(
         triplets=triplets,
         corpus=Corpus(counts, config, stats, vectors),

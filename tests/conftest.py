@@ -1,3 +1,8 @@
+import hashlib
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from csr.catalog import load_catalog
@@ -129,3 +134,74 @@ def small_config():
     # 128 dimensions keeps randomized suites fast; quality tests that care
     # about collision rates pick their own dimension.
     return SimilarityConfig(dimension=128)
+
+
+# External embedder served in-process; 128 dimensions like small_config.
+DIMENSION = 128
+
+
+def stub_vector(text: str, dimension: int) -> list[float]:
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return [((digest[i % 32] + i) % 97) / 97.0 + 0.01 for i in range(dimension)]
+
+
+@pytest.fixture(scope="session")
+def stub_provider():
+    """A local embedding provider answering with ``stub_vector``s; set
+    ``state["mode"]`` to make it misbehave, and back to "ok" after."""
+    state = {"mode": "ok"}
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            length = int(self.headers.get("Content-Length", "0"))
+            texts = json.loads(self.rfile.read(length))["texts"]
+            if state["mode"] == "reject":
+                self.send_response(500)
+                self.send_header("Content-Length", "0")
+                self.send_header("Connection", "close")
+                self.end_headers()
+                return
+            dim = 16 if state["mode"] == "wrong_dim" else DIMENSION
+            vectors = [stub_vector(t, dim) for t in texts]
+            if state["mode"] == "nan":
+                vectors[-1][3] = float("nan")
+            if state["mode"] == "ragged":
+                vectors[-1].pop()
+            body = json.dumps({"vectors": vectors}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Connection", "close")
+            self.close_connection = True
+            self.end_headers()
+            self.wfile.write(body)
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/embed"
+    yield endpoint, state
+    server.shutdown()
+    server.server_close()
+
+
+def external_config(endpoint: str) -> SimilarityConfig:
+    return SimilarityConfig(
+        embedder="external",
+        dimension=DIMENSION,
+        external_endpoint=endpoint,
+        external_timeout=5.0,
+    )
+
+
+def write_sealed_manifest(path, doc: dict) -> None:
+    """Write ``doc`` as an index manifest whose ``manifest_sha256`` matches
+    it: the SHA-256 of its canonical JSON without that field. Tests use it to
+    reach the checks behind the manifest's own hash."""
+    unsealed = {k: v for k, v in doc.items() if k != "manifest_sha256"}
+    canonical = json.dumps(unsealed, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(dict(unsealed, manifest_sha256=digest)))

@@ -31,7 +31,7 @@ class TestIndex:
         code, out, captured = _index(inputs, capsys)
         assert code == 0
         summary = json.loads(captured.out)
-        assert summary["artifacts"] == ["catalog", "chunks", "graph"]
+        assert summary["artifacts"] == ["catalog", "chunks"]
         assert (out / "manifest.json").is_file()
 
     def test_missing_schema_exits_2_with_path(self, inputs, capsys):

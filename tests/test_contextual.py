@@ -9,7 +9,13 @@ from csr.contextual import (
     contextualize,
     retrieve_contextual,
 )
-from csr.similarity import SimilarityConfig, bm25_score, cosine_sim, embed
+from csr.similarity import (
+    SimilarityConfig,
+    bm25_score,
+    cosine_sim,
+    embed,
+    embed_batch,
+)
 from csr.synthetic import GeneratorProfile, generate_synthetic
 
 from conftest import SHOP_TRACE
@@ -27,8 +33,10 @@ def contextual_oracle(index, question, k, scope=None):
             for c in index.chunks
         ]
     else:
+        texts = [c.contextualized for c in index.chunks]
+        vectors = embed_batch(texts, corpus.config, corpus.stats)
         qv = embed(question, corpus.config, corpus.stats)
-        scored = [(cosine_sim(qv, corpus.vectors[c.id]), c.id) for c in index.chunks]
+        scored = [(cosine_sim(qv, vectors[c.id]), c.id) for c in index.chunks]
     ordered = sorted(scored, key=lambda t: (-t[0], t[1]))[:k]
     ranked = [(cid, score) for score, cid in ordered]
     tables = set()
@@ -71,15 +79,22 @@ class TestBuildIndex:
     def test_three_pair_trace(self, shop_catalog, small_config):
         index = build_chunk_index(SHOP_TRACE[:3], shop_catalog, small_config)
         assert len(index) == 3
+        texts = [c.contextualized for c in index.chunks]
+        vectors = embed_batch(texts, index.corpus.config, index.corpus.stats)
         for chunk in index.chunks:
-            norm = np.linalg.norm(index.corpus.vectors[chunk.id])
+            norm = np.linalg.norm(vectors[chunk.id])
             assert abs(norm - 1.0) < 1e-6 or norm == 0.0
             assert chunk.contextualized.startswith(chunk.question)
 
     def test_bit_identical_rebuild(self, shop_catalog, small_config):
         a = build_chunk_index(SHOP_TRACE, shop_catalog, small_config)
         b = build_chunk_index(SHOP_TRACE, shop_catalog, small_config)
-        assert np.array_equal(a.corpus.vectors, b.corpus.vectors)
+        question = "customer order totals"
+        qvec = embed(question, small_config, a.corpus.stats)
+        ids = range(len(a))
+        scores = a.corpus.score(question, qvec, ids)
+        assert scores.any()
+        assert np.array_equal(scores, b.corpus.score(question, qvec, ids))
         assert a.corpus.stats.doc_freq == b.corpus.stats.doc_freq
         assert [c.contextualized for c in a.chunks] == [
             c.contextualized for c in b.chunks

@@ -1,7 +1,5 @@
-import hashlib
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -20,72 +18,16 @@ from csr.similarity import (
 )
 from csr.structural import build_knowledge_graph
 
-from conftest import SHOP_DOCUMENT, SHOP_TRACE
+from conftest import DIMENSION, SHOP_DOCUMENT, SHOP_TRACE, external_config
 
-DIMENSION = 128
 CLOSED_ENDPOINT = "http://127.0.0.1:9/embed"  # nothing listens there
-
-
-def stub_vector(text: str, dimension: int) -> list[float]:
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return [((digest[i % 32] + i) % 97) / 97.0 + 0.01 for i in range(dimension)]
-
-
-@pytest.fixture(scope="module")
-def stub_provider():
-    state = {"mode": "ok"}
-
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, *args):
-            pass
-
-        def do_POST(self):
-            length = int(self.headers.get("Content-Length", "0"))
-            texts = json.loads(self.rfile.read(length))["texts"]
-            if state["mode"] == "reject":
-                self.send_response(500)
-                self.send_header("Content-Length", "0")
-                self.send_header("Connection", "close")
-                self.end_headers()
-                return
-            dim = 16 if state["mode"] == "wrong_dim" else DIMENSION
-            vectors = [stub_vector(t, dim) for t in texts]
-            if state["mode"] == "nan":
-                vectors[-1][3] = float("nan")
-            if state["mode"] == "ragged":
-                vectors[-1].pop()
-            body = json.dumps({"vectors": vectors}).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
-            self.close_connection = True
-            self.end_headers()
-            self.wfile.write(body)
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    endpoint = f"http://127.0.0.1:{server.server_address[1]}/embed"
-    yield endpoint, state
-    server.shutdown()
-    server.server_close()
-
-
-def _config(endpoint: str) -> SimilarityConfig:
-    return SimilarityConfig(
-        embedder="external",
-        dimension=DIMENSION,
-        external_endpoint=endpoint,
-        external_timeout=5.0,
-    )
 
 
 class TestExternalProvider:
     def test_deterministic_unit_vectors(self, stub_provider):
         endpoint, state = stub_provider
         state["mode"] = "ok"
-        config = _config(endpoint)
+        config = external_config(endpoint)
         a = embed("count open orders", config)
         b = embed("count open orders", config)
         assert np.array_equal(a, b)
@@ -94,14 +36,14 @@ class TestExternalProvider:
     def test_batch_preserves_order(self, stub_provider):
         endpoint, state = stub_provider
         state["mode"] = "ok"
-        config = _config(endpoint)
+        config = external_config(endpoint)
         texts = ["alpha", "beta", "gamma"]
         batch = embed_batch(texts, config)
         for text, row in zip(texts, batch):
             assert np.array_equal(embed(text, config), row)
 
     def test_transport_failure_kind(self):
-        config = _config(CLOSED_ENDPOINT)
+        config = external_config(CLOSED_ENDPOINT)
         with pytest.raises(EmbeddingProviderError) as err:
             embed("x", config)
         assert err.value.kind == "transport"
@@ -110,7 +52,7 @@ class TestExternalProvider:
         endpoint, state = stub_provider
         state["mode"] = "reject"
         with pytest.raises(EmbeddingProviderError) as err:
-            embed("x", _config(endpoint))
+            embed("x", external_config(endpoint))
         assert err.value.kind == "rejection"
         state["mode"] = "ok"
 
@@ -118,14 +60,14 @@ class TestExternalProvider:
         endpoint, state = stub_provider
         state["mode"] = "wrong_dim"
         with pytest.raises(EmbeddingProviderError, match="dimension mismatch"):
-            embed("x", _config(endpoint))
+            embed("x", external_config(endpoint))
         state["mode"] = "ok"
 
     def test_non_finite_vector_rejected(self, stub_provider):
         endpoint, state = stub_provider
         state["mode"] = "nan"
         with pytest.raises(EmbeddingProviderError, match="non-finite") as err:
-            embed_batch(["alpha", "beta"], _config(endpoint))
+            embed_batch(["alpha", "beta"], external_config(endpoint))
         assert err.value.kind == "rejection"
         state["mode"] = "ok"
 
@@ -133,7 +75,7 @@ class TestExternalProvider:
         endpoint, state = stub_provider
         state["mode"] = "ragged"
         with pytest.raises(EmbeddingProviderError, match="malformed") as err:
-            embed_batch(["alpha", "beta"], _config(endpoint))
+            embed_batch(["alpha", "beta"], external_config(endpoint))
         assert err.value.kind == "rejection"
         state["mode"] = "ok"
 
@@ -148,7 +90,7 @@ class TestExternalProvider:
     ):
         endpoint, state = stub_provider
         state["mode"] = "ok"
-        config = _config(endpoint)
+        config = external_config(endpoint)
         index = build_chunk_index(SHOP_TRACE, shop_catalog, config)
         assert len(index) == len(SHOP_TRACE)
         result = retrieve_contextual(index, "open orders", k=2)
@@ -160,12 +102,15 @@ class TestUnreachableProvider:
     contract: one JSON line and exit 2 on the CLI, a JSON 502 over HTTP."""
 
     @pytest.fixture()
-    def unreachable_index(self, shop_catalog, small_config, tmp_path):
+    def unreachable_index(self, stub_provider, shop_catalog, tmp_path):
         # Vectors built while a provider answered; the saved config now
         # points at one that is down.
-        index = build_chunk_index(SHOP_TRACE, shop_catalog, small_config)
-        graph = build_knowledge_graph(shop_catalog, small_config)
-        config = PipelineConfig(similarity=_config(CLOSED_ENDPOINT))
+        endpoint, state = stub_provider
+        state["mode"] = "ok"
+        answering = external_config(endpoint)
+        index = build_chunk_index(SHOP_TRACE, shop_catalog, answering)
+        graph = build_knowledge_graph(shop_catalog, answering)
+        config = PipelineConfig(similarity=external_config(CLOSED_ENDPOINT))
         save_index(tmp_path / "idx", shop_catalog, index, graph, config)
         return tmp_path / "idx"
 

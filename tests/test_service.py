@@ -1,5 +1,7 @@
 import json
+import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -9,7 +11,8 @@ from csr.artifacts import save_index, schema_version_of
 from csr.cli import main
 from csr.contextual import build_chunk_index
 from csr.pipeline import PipelineConfig
-from csr.service import RetrievalService, make_server
+from csr import service as service_module
+from csr.service import MAX_BODY_BYTES, RetrievalService, make_server
 from csr.structural import build_knowledge_graph
 
 from conftest import SHOP_TRACE
@@ -149,6 +152,78 @@ class TestEndpoints:
             timeout=10,
         )
         assert "stage_timings_ms" in resp.json()
+
+
+def _port(base: str) -> int:
+    return int(base.rsplit(":", 1)[1])
+
+
+def _raw_post(port: int, content_length: str, body: bytes = b"") -> bytes:
+    """POST /v1/retrieve over one raw connection with the given
+    ``Content-Length`` header, then read until the server closes it."""
+    head = (
+        "POST /v1/retrieve HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n\r\n"
+    )
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head.encode("ascii") + body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _status_and_json(response: bytes) -> tuple[int, dict]:
+    header, _, body = response.partition(b"\r\n\r\n")
+    assert b"Content-Type: application/json" in header
+    return int(header.split()[1]), json.loads(body)
+
+
+class TestRequestBounds:
+    """Each request is one raw-socket client: the body is never read past
+    the declared cap, and no client can pin a handler thread."""
+
+    @pytest.mark.parametrize("declared", ["-1", "abc", "1.5", "1_0"])
+    def test_bad_content_length_is_400(self, running_service, declared):
+        base, _ = running_service
+        status, doc = _status_and_json(_raw_post(_port(base), declared))
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+
+    def test_oversized_body_is_413_without_reading_it(self, running_service):
+        # No body follows the header: reading it would wait for the client.
+        base, _ = running_service
+        response = _raw_post(_port(base), str(MAX_BODY_BYTES + 1))
+        status, doc = _status_and_json(response)
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in doc["error"]
+
+    def test_body_at_the_cap_is_read(self, running_service):
+        base, _ = running_service
+        body = json.dumps({"question": "customer orders"}).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        status, doc = _status_and_json(_raw_post(_port(base), str(len(body)), body))
+        assert status == 200
+        assert doc["entities"]
+
+    def test_short_body_closes_the_connection(self, running_service, monkeypatch):
+        _, service = running_service
+        monkeypatch.setattr(service_module, "SOCKET_TIMEOUT_S", 0.5)
+        server = make_server(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        try:
+            started = time.monotonic()
+            # 11 of the 100 declared bytes, and the client stays connected.
+            response = _raw_post(server.server_address[1], "100", b'{"question"')
+            waited = time.monotonic() - started
+        finally:
+            server.shutdown()
+            server.server_close()  # joins the handler thread
+            thread.join(timeout=10)
+        assert response == b""
+        assert 0.4 < waited < 5
+        assert not thread.is_alive()
 
 
 def _broken_stage(*args, **kwargs):

@@ -3,7 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from csr.similarity import SimilarityConfig, bm25_score, cosine_sim, embed
+from csr.similarity import (
+    SimilarityConfig,
+    bm25_score,
+    cosine_sim,
+    embed,
+    embed_batch,
+)
 from csr.structural import (
     build_knowledge_graph,
     retrieve_structural,
@@ -28,8 +34,10 @@ def structural_oracle(graph, question, l, scope=None):
             for i in candidates
         ]
     else:
+        surfaces = [t.surface for t in graph.triplets]
+        vectors = embed_batch(surfaces, corpus.config, corpus.stats)
         qv = embed(question, corpus.config, corpus.stats)
-        scored = [(cosine_sim(qv, corpus.vectors[i]), i) for i in candidates]
+        scored = [(cosine_sim(qv, vectors[i]), i) for i in candidates]
     ordered = sorted(scored, key=lambda t: (-t[0], t[1]))[:l]
     ranked = [(i, s) for s, i in ordered]
     tables = {graph.triplets[i].table for i, _ in ranked}
@@ -64,7 +72,12 @@ class TestBuild:
         a = build_knowledge_graph(shop_catalog, small_config)
         b = build_knowledge_graph(shop_catalog, small_config)
         assert [t.surface for t in a.triplets] == [t.surface for t in b.triplets]
-        assert np.array_equal(a.corpus.vectors, b.corpus.vectors)
+        question = "customer email address"
+        qvec = embed(question, small_config, a.corpus.stats)
+        ids = range(len(a))
+        scores = a.corpus.score(question, qvec, ids)
+        assert scores.any()
+        assert np.array_equal(scores, b.corpus.score(question, qvec, ids))
 
     @pytest.mark.parametrize(
         "tables,columns", [(50, 701), (100, 1486), (200, 2567), (246, 3021)]
