@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 TableId = int
@@ -29,6 +29,27 @@ ColumnId = int
 
 class CatalogError(ValueError):
     """Raised for malformed schema documents; message carries the location."""
+
+
+def from_document(cls, doc, name: str, **parsers):
+    """Build the dataclass ``cls`` from the JSON object ``doc``; ``parsers``
+    turn a nested field's raw value into its object. A non-object, a key
+    ``cls`` has no field for, a wrongly typed value or a failed check is a
+    ``ValueError`` that starts ``invalid {name}``."""
+    try:
+        if not isinstance(doc, dict):
+            raise ValueError("must be a JSON object")
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        return cls(**{k: parsers[k](v) if k in parsers else v for k, v in doc.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid {name}: {exc}") from exc
+
+
+def is_int(value) -> bool:
+    """An integer that is not a boolean (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

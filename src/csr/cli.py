@@ -28,11 +28,11 @@ from .evaluation import (
 from .pipeline import (
     IterationSchedule,
     PipelineConfig,
+    QueryRequest,
     ScopeCollapsedError,
-    build_query_response,
+    answer,
     default_schedule,
     load_pipeline_config,
-    run_pipeline,
 )
 from .service import RetrievalService, serve_forever
 from .similarity import EmbeddingProviderError
@@ -83,13 +83,12 @@ def _prepare_inputs(args) -> tuple:
         catalog = load_catalog(args.schema)
         trace = _load_trace(args.trace)
         return catalog, trace
-    profile_doc = {}
+    profile = GeneratorProfile()
     if args.profile:
         with open(args.profile, encoding="utf-8") as fh:
-            profile_doc = json.load(fh)
-    if getattr(args, "seed", None) is not None:
-        profile_doc["seed"] = args.seed
-    profile = GeneratorProfile.from_dict(profile_doc)
+            profile = GeneratorProfile.from_dict(json.load(fh))
+    if args.seed is not None:
+        profile = dataclasses.replace(profile, seed=args.seed)
     return generate_synthetic(profile)
 
 
@@ -125,24 +124,16 @@ def _parse_schedule_flag(text: str) -> IterationSchedule:
 
 def cmd_query(args) -> int:
     catalog, chunk_index, graph, config, manifest = load_index(args.index)
-    if not args.question.strip():
-        return _fail(EXIT_ERROR, error="question must be nonempty")
-    if args.schedule:
-        schedule = _parse_schedule_flag(args.schedule)
-    else:
-        schedule = config.schedule or default_schedule(len(catalog.tables))
-    output = run_pipeline(args.question, chunk_index, graph, catalog, schedule, config)
-    if args.max_entities is not None:
-        output.entities = output.entities[: args.max_entities]
-        output.tables = {e.table for e in output.entities}
-    if args.tables_only:
-        for name in sorted(catalog.table(t).name for t in output.tables):
-            print(name)
-        return EXIT_OK
-    payload = build_query_response(
-        output, catalog, manifest["schema_version"], include_timings=args.timings
+    schedule = _parse_schedule_flag(args.schedule) if args.schedule else None
+    request = QueryRequest(args.question, schedule, args.max_entities, args.timings)
+    payload = answer(
+        request, chunk_index, graph, catalog, config, manifest["schema_version"]
     )
-    print(json.dumps(payload))
+    if args.tables_only:
+        for name in payload["tables"]:
+            print(name)
+    else:
+        print(json.dumps(payload))
     return EXIT_OK
 
 
@@ -151,7 +142,10 @@ def cmd_eval(args) -> int:
     catalog, trace = _prepare_inputs(args)
     if args.schedules:
         with open(args.schedules, encoding="utf-8") as fh:
-            schedules = [IterationSchedule.from_dict(d) for d in json.load(fh)]
+            docs = json.load(fh)
+        if not isinstance(docs, list):
+            raise ValueError("--schedules must be a JSON list of schedules")
+        schedules = [IterationSchedule.from_dict(d) for d in docs]
     else:
         schedules = default_sweep_schedules(len(catalog.tables))
     rows = run_sweep(catalog, trace, schedules, config, args.hold_out_every)

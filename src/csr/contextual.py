@@ -92,29 +92,22 @@ def describe_relevant(relevant: RelevantSet, catalog: SchemaCatalog) -> str:
 
 
 def build_chunk_index(
-    trace: list[tuple[str, str]] | list[dict],
+    trace: list[dict],
     catalog: SchemaCatalog,
     config: SimilarityConfig,
 ) -> ChunkIndex:
     """Label, contextualize, and embed every trace pair into an index.
 
-    Trace entries are ``(question, sql)`` tuples or dicts with ``question``,
-    ``sql``, and an optional ``tables`` list that overrides the extracted
-    table set (columns are then restricted to the listed tables).
+    Trace entries are dicts with ``question``, ``sql``, and an optional
+    ``tables`` list that overrides the extracted table set (columns are then
+    restricted to the listed tables).
     """
     labelled: list[tuple[str, str, RelevantSet]] = []
     for entry in trace:
-        if isinstance(entry, dict):
-            question = entry["question"]
-            sql = entry["sql"]
-            override = entry.get("tables")
-        else:
-            question, sql = entry
-            override = None
-        relevant = extract_relevant_set(sql, catalog)
-        if override is not None:
-            relevant = _apply_table_override(relevant, override, catalog)
-        labelled.append((question, sql, relevant))
+        relevant = extract_relevant_set(entry["sql"], catalog)
+        if entry.get("tables") is not None:
+            relevant = _apply_table_override(relevant, entry["tables"], catalog)
+        labelled.append((entry["question"], entry["sql"], relevant))
     return index_labelled_chunks(labelled, catalog, config)
 
 

@@ -5,7 +5,8 @@ restricted to the previous iteration's table scope, and combines their
 table sets. Parameters shrink across iterations, so the scope chain is
 non-increasing. After the last iteration the relational ranker builds a
 hypergraph over the final scope and emits the top table.column join
-candidates.
+candidates. ``answer`` turns one ``QueryRequest`` into its response payload;
+``csr query`` and ``POST /v1/retrieve`` both go through it.
 
 Everything runs on the calling thread: the stages are pure Python, so a
 thread pool would only contend for the interpreter lock. Outputs are
@@ -17,10 +18,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .catalog import SchemaCatalog, TableId, lookup_table
+from .catalog import SchemaCatalog, TableId, from_document, is_int, lookup_table
 from .contextual import ChunkIndex, retrieve_contextual
 from .relational import RankingConfig, SemanticEntity, build_hypergraph, hypergraph_rank
 from .similarity import SimilarityConfig
@@ -51,9 +52,7 @@ class IterationSchedule:
         if self.scope_combine not in ("union", "intersection"):
             raise ValueError(f"unknown scope_combine '{self.scope_combine}'")
         for step in self.steps:
-            if len(step) != 3 or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in step
-            ):
+            if len(step) != 3 or not all(is_int(v) for v in step):
                 raise ValueError(f"schedule step {list(step)} must be three integers k,l,h")
         for k, l, h in self.steps:
             if k < 1 or l < 1 or h < 1:
@@ -66,10 +65,9 @@ class IterationSchedule:
             raise ValueError("l values must be non-increasing across steps")
 
     @staticmethod
-    def from_dict(doc: dict) -> "IterationSchedule":
-        return IterationSchedule(
-            steps=tuple(tuple(step) for step in doc["steps"]),
-            scope_combine=doc.get("scope_combine", "union"),
+    def from_dict(doc) -> "IterationSchedule":
+        return from_document(
+            IterationSchedule, doc, "schedule", steps=lambda s: tuple(map(tuple, s))
         )
 
     def to_dict(self) -> dict:
@@ -87,30 +85,28 @@ class PipelineConfig:
     contextual_scope_mode: str = "intersect"  # intersect | filter_chunks
     unavailable_tables: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        mode, names = self.contextual_scope_mode, self.unavailable_tables
+        if mode not in ("intersect", "filter_chunks"):
+            raise ValueError(f"unknown contextual_scope_mode '{mode}'")
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise ValueError("unavailable_tables must be a list of table names")
+        self.unavailable_tables = tuple(names)
+
     @staticmethod
-    def from_dict(doc: dict) -> "PipelineConfig":
-        if not isinstance(doc, dict):
-            raise ValueError("pipeline config must be a JSON object")
-        sim = _section(SimilarityConfig, "similarity", doc.get("similarity", {}))
-        ranking = _section(RankingConfig, "ranking", doc.get("ranking", {}))
-        try:
-            schedule = None
-            if "schedule" in doc:
-                schedule = IterationSchedule.from_dict(doc["schedule"])
-            unavailable = tuple(doc.get("unavailable_tables", ()))
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"invalid pipeline config: {exc!r}") from exc
-        return PipelineConfig(
-            similarity=sim,
-            ranking=ranking,
-            schedule=schedule,
-            contextual_scope_mode=doc.get("contextual_scope_mode", "intersect"),
-            unavailable_tables=unavailable,
+    def from_dict(doc) -> "PipelineConfig":
+        return from_document(
+            PipelineConfig,
+            doc,
+            "pipeline config",
+            similarity=lambda d: from_document(SimilarityConfig, d, "similarity config"),
+            ranking=lambda d: from_document(RankingConfig, d, "ranking config"),
+            schedule=IterationSchedule.from_dict,
         )
 
     def to_dict(self) -> dict:
         doc = {
-            # asdict walks the same dataclass fields that _section accepts.
+            # asdict walks the same dataclass fields that from_document accepts.
             "similarity": asdict(self.similarity),
             "ranking": asdict(self.ranking),
             "contextual_scope_mode": self.contextual_scope_mode,
@@ -121,17 +117,28 @@ class PipelineConfig:
         return doc
 
 
-def _section(cls, name: str, doc: dict):
-    """Build one config section, naming any key the section does not have
-    and the section whose value has the wrong type."""
-    known = {f.name for f in fields(cls)}
-    try:
-        for key in doc:
-            if key not in known:
-                raise ValueError(f"unknown {name} config key '{key}'")
-        return cls(**doc)
-    except TypeError as exc:
-        raise ValueError(f"invalid {name} config: {exc}") from exc
+@dataclass(frozen=True)
+class QueryRequest:
+    """One query: the body of ``POST /v1/retrieve`` or ``csr query``'s
+    arguments."""
+
+    question: str
+    schedule_override: IterationSchedule | None = None
+    max_entities: int | None = None
+    include_timings: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.question, str) or not self.question.strip():
+            raise ValueError("question must be a nonempty string")
+        limit = self.max_entities
+        if limit is not None and not (is_int(limit) and limit >= 1):
+            raise ValueError("max_entities must be a positive integer")
+
+    @staticmethod
+    def from_dict(doc) -> "QueryRequest":
+        return from_document(
+            QueryRequest, doc, "request", schedule_override=IterationSchedule.from_dict
+        )
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
@@ -230,15 +237,16 @@ def _resolve_unavailable(
     return frozenset(ids)
 
 
-def default_schedule(catalog_size: int, relevant_bound: int = 8) -> IterationSchedule:
+def default_schedule(catalog_size: int) -> IterationSchedule:
     """Three narrowing steps scaled to the catalog size.
 
-    The final h is twice the expected relevant-set size bound, leaving the
-    downstream SQL generator room for every plausible join column.
+    The final h is 16, twice the expected relevant-set size bound of 8,
+    leaving the downstream SQL generator room for every plausible join
+    column.
     """
     if catalog_size < 1:
         raise ValueError("catalog_size must be >= 1")
-    h = max(1, 2 * relevant_bound)
+    h = 16
     steps = (
         (max(2, catalog_size // 5), max(2, catalog_size), h),
         (max(2, catalog_size // 12), max(1, catalog_size // 4), h),
@@ -271,3 +279,22 @@ def build_query_response(
             stage: us / 1000.0 for stage, us in output.timings.items()
         }
     return payload
+
+
+def answer(
+    request: QueryRequest,
+    chunk_index: ChunkIndex,
+    graph: KnowledgeGraph,
+    catalog: SchemaCatalog,
+    config: PipelineConfig,
+    schema_version: str,
+) -> dict:
+    """Answer one query with its response payload: the request's schedule
+    (else the config's, else the default), then the top ``max_entities``."""
+    schedule = request.schedule_override or config.schedule
+    schedule = schedule or default_schedule(len(catalog.tables))
+    output = run_pipeline(request.question, chunk_index, graph, catalog, schedule, config)
+    if request.max_entities is not None:
+        output.entities = output.entities[: request.max_entities]
+        output.tables = {e.table for e in output.entities}
+    return build_query_response(output, catalog, schema_version, request.include_timings)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import Column, ColumnId, SchemaCatalog, Table, TableId
+from .catalog import Column, ColumnId, SchemaCatalog, Table, TableId, is_int
 from .similarity import (
     Corpus,
     SimilarityConfig,
@@ -40,8 +40,8 @@ class RankingConfig:
     weight_mode: str = "uniform"  # uniform | hyperedge_degree
 
     def __post_init__(self) -> None:
-        if self.h < 1:
-            raise ValueError("h must be >= 1")
+        if not is_int(self.h) or self.h < 1:
+            raise ValueError("h must be an integer >= 1")
         if self.operator not in ("concat_names", "concat_with_descriptions"):
             raise ValueError(f"unknown operator '{self.operator}'")
         if self.weight_mode not in ("uniform", "hyperedge_degree"):

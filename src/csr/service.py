@@ -6,17 +6,20 @@ Endpoints:
   GET  /v1/stats     catalog shape and index sizes
 
 All indexes are loaded once and never mutated, so any number of requests may
-be served concurrently; a semaphore caps how many retrievals run at once and
-the rest queue. Responses are deterministic for identical requests; stage
-timings are only attached when a request explicitly asks for them. Errors
-are JSON: 400 for an invalid request, 422 when the scope collapses, 502 with
-the provider's ``kind`` when the external embedder fails, and 500, without
-the traceback, for any other fault during retrieval. A request body is
-bounded: a ``Content-Length`` that is not a non-negative integer is a 400
-and one above ``MAX_BODY_BYTES`` a 413, both sent without reading the body,
-and a connection that stays silent for ``SOCKET_TIMEOUT_S`` (a body shorter
-than its header, say) is closed. Shutdown stops accepting connections and
-drains in-flight handlers.
+be served concurrently; a semaphore caps how many retrievals run at once, and
+at most ``MAX_QUEUED`` more wait for a slot. ``pipeline.answer`` answers the
+body's ``QueryRequest``, as it answers ``csr query``. Responses are
+deterministic for identical requests; stage timings are only attached when a
+request explicitly asks for them. Errors are JSON: 400 for an invalid
+request (not an object, an unknown key, a wrongly typed value), 422 when
+the scope collapses, 502 with the provider's ``kind`` when the external
+embedder fails, 503 at once when the queue is full, and 500, without the
+traceback, for any other fault during retrieval. A request body is bounded:
+a ``Content-Length`` that is not a non-negative integer is a 400 and one
+above ``MAX_BODY_BYTES`` a 413, both sent without reading the body, and a
+connection that stays silent for ``SOCKET_TIMEOUT_S`` (a body shorter than
+its header, say) is closed. Shutdown stops accepting connections and drains
+in-flight handlers.
 """
 
 from __future__ import annotations
@@ -29,14 +32,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .catalog import SchemaCatalog, catalog_stats
 from .contextual import ChunkIndex
-from .pipeline import (
-    IterationSchedule,
-    PipelineConfig,
-    ScopeCollapsedError,
-    build_query_response,
-    default_schedule,
-    run_pipeline,
-)
+from .pipeline import PipelineConfig, QueryRequest, ScopeCollapsedError, answer
 from .similarity import EmbeddingProviderError
 from .structural import KnowledgeGraph
 
@@ -44,6 +40,7 @@ logger = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 1 << 20  # largest accepted request body
 SOCKET_TIMEOUT_S = 10.0  # longest wait for any read or write on a connection
+MAX_QUEUED = 32  # most requests that may wait for a free retrieval slot
 
 
 @dataclass
@@ -55,52 +52,30 @@ class RetrievalService:
     schema_version: str
     max_concurrent: int = 8
     _gate: threading.Semaphore = field(init=False, repr=False)
+    _admitted: threading.Semaphore = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._gate = threading.Semaphore(self.max_concurrent)
+        # Running plus waiting requests; any beyond are shed with a 503.
+        self._admitted = threading.Semaphore(self.max_concurrent + MAX_QUEUED)
 
     def retrieve(self, request_doc) -> tuple[int, dict]:
-        if not isinstance(request_doc, dict):
-            return 400, {"error": "request body must be a JSON object"}
-        question = request_doc.get("question")
-        if not isinstance(question, str) or not question.strip():
-            return 400, {"error": "question must be a nonempty string"}
         try:
-            if "schedule_override" in request_doc:
-                schedule = IterationSchedule.from_dict(request_doc["schedule_override"])
-            else:
-                schedule = self.config.schedule or default_schedule(
-                    len(self.catalog.tables)
-                )
-            max_entities = request_doc.get("max_entities")
-            if max_entities is not None and (
-                not isinstance(max_entities, int)
-                or isinstance(max_entities, bool)
-                or max_entities < 1
-            ):
-                return 400, {"error": "max_entities must be a positive integer"}
-        except (KeyError, TypeError, ValueError) as exc:
-            return 400, {"error": f"invalid request: {exc}"}
-
+            request = QueryRequest.from_dict(request_doc)
+        except ValueError as exc:
+            return 400, {"error": str(exc)}
+        if not self._admitted.acquire(blocking=False):
+            return 503, {"error": f"busy: {MAX_QUEUED} requests already waiting"}
         try:
             with self._gate:
-                output = run_pipeline(
-                    question,
+                payload = answer(
+                    request,
                     self.chunk_index,
                     self.graph,
                     self.catalog,
-                    schedule,
                     self.config,
+                    self.schema_version,
                 )
-            if max_entities is not None:
-                output.entities = output.entities[:max_entities]
-                output.tables = {e.table for e in output.entities}
-            payload = build_query_response(
-                output,
-                self.catalog,
-                self.schema_version,
-                include_timings=bool(request_doc.get("include_timings")),
-            )
         except ScopeCollapsedError as exc:
             return 422, {"error": str(exc), "step": exc.step}
         except EmbeddingProviderError as exc:
@@ -109,6 +84,8 @@ class RetrievalService:
             # Any other fault: the traceback goes to the server log only.
             logger.exception("retrieval failed")
             return 500, {"error": "internal error during retrieval"}
+        finally:
+            self._admitted.release()
         return 200, payload
 
     def health(self) -> tuple[int, dict]:

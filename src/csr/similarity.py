@@ -25,6 +25,8 @@ from itertools import chain
 import numpy as np
 import requests
 
+from .catalog import is_int
+
 _TOKEN = re.compile(r"[0-9a-z]+")
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -56,8 +58,8 @@ class SimilarityConfig:
             raise ValueError(f"unknown metric '{self.metric}'")
         if self.embedder not in ("hashed_tfidf", "external"):
             raise ValueError(f"unknown embedder '{self.embedder}'")
-        if self.dimension < 64:
-            raise ValueError("dimension must be >= 64")
+        if not is_int(self.dimension) or self.dimension < 64:
+            raise ValueError("dimension must be an integer >= 64")
         if self.bm25_k1 <= 0:
             raise ValueError("bm25_k1 must be > 0")
         if not 0.0 <= self.bm25_b <= 1.0:

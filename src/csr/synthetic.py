@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .catalog import SchemaCatalog, load_catalog
+from .catalog import SchemaCatalog, from_document, is_int, load_catalog
 
 DEFAULT_SEED = 94010
 
@@ -41,7 +41,12 @@ class GeneratorProfile:
     variants_per_group: int = 4
 
     def __post_init__(self) -> None:
-        if self.table_count < 1 or self.query_count < 1 or self.variants_per_group < 1:
+        counts = (self.table_count, self.query_count, self.variants_per_group)
+        if not all(is_int(v) for v in (*counts, self.seed)):
+            raise ProfileError(
+                "table_count, seed, query_count and variants_per_group must be integers"
+            )
+        if min(counts) < 1:
             raise ProfileError("counts must be >= 1")
         if not 0.0 <= self.tables_per_query_p_ge7 <= 1.0:
             raise ProfileError("tables_per_query_p_ge7 must be in [0, 1]")
@@ -49,20 +54,8 @@ class GeneratorProfile:
             raise ProfileError("distribution targets must be positive")
 
     @staticmethod
-    def from_dict(doc: dict) -> "GeneratorProfile":
-        return GeneratorProfile(**doc)
-
-    def to_dict(self) -> dict:
-        return {
-            "table_count": self.table_count,
-            "fk_median_target": self.fk_median_target,
-            "tables_per_query_p_ge7": self.tables_per_query_p_ge7,
-            "tables_per_query_stddev": self.tables_per_query_stddev,
-            "columns_per_table_mean": self.columns_per_table_mean,
-            "seed": self.seed,
-            "query_count": self.query_count,
-            "variants_per_group": self.variants_per_group,
-        }
+    def from_dict(doc) -> "GeneratorProfile":
+        return from_document(GeneratorProfile, doc, "generator profile")
 
 
 PRIMARY_WORDS = [

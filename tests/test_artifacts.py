@@ -21,7 +21,7 @@ from csr.artifacts import (
 from csr.catalog import to_document
 from csr.cli import main
 from csr.contextual import build_chunk_index
-from csr.pipeline import IterationSchedule, PipelineConfig, run_pipeline
+from csr.pipeline import PipelineConfig
 from csr.similarity import embed
 from csr.structural import build_knowledge_graph
 
@@ -367,23 +367,17 @@ def test_any_flipped_byte_is_rejected(saved_indexes, kind, name, data):
             load_index(root)
 
 
-def test_manifest_with_legacy_parallel_key_loads_and_answers(built, tmp_path):
-    # Indexes written while the pipeline still had a ``parallel`` option carry
-    # it in their config snapshot; they load under the same format version.
+def test_manifest_with_retired_parallel_key_is_rejected(built, tmp_path):
+    # ``parallel`` left the config before format 2, so no format-3 writer
+    # emits it: a sealed manifest carrying it has an unknown config key.
     catalog, index, graph, config = built
     save_index(tmp_path, catalog, index, graph, config)
-    schedule = IterationSchedule(steps=((4, 8, 6), (2, 4, 4)))
-    question = "customer emails in the west region"
-    expected = run_pipeline(question, index, graph, catalog, schedule, config)
     manifest_path = tmp_path / "manifest.json"
     doc = json.loads(manifest_path.read_text())
-    for legacy in (True, False):
-        doc["config"]["parallel"] = legacy
-        write_sealed_manifest(manifest_path, doc)
-        r_catalog, r_index, r_graph, r_config, _ = load_index(tmp_path)
-        output = run_pipeline(question, r_index, r_graph, r_catalog, schedule, r_config)
-        assert output.entities == expected.entities
-        assert output.entities
+    doc["config"]["parallel"] = False
+    write_sealed_manifest(manifest_path, doc)
+    with pytest.raises(ValueError, match="unknown keys \\['parallel'\\]"):
+        load_index(tmp_path)
 
 
 def test_schema_version_tracks_catalog_content(built):

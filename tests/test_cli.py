@@ -137,6 +137,57 @@ class TestIndex:
         assert "three integers" in json.loads(captured.err)["error"]
 
 
+    @pytest.mark.parametrize(
+        "config_doc,named",
+        [
+            ({"schedul": {"steps": [[4, 8, 6]]}}, "schedul"),
+            ({"contextual_scope_mode": "bogus"}, "contextual_scope_mode"),
+            ({"unavailable_tables": "audit_map"}, "unavailable_tables"),
+            ({"unavailable_tables": [1]}, "unavailable_tables"),
+            (
+                {"schedule": {"steps": [[4, 8, 6]], "scope_combin": "intersection"}},
+                "scope_combin",
+            ),
+            ({"similarity": {"dimension": 100.5}}, "dimension"),
+            ({"ranking": {"h": 2.5}}, "ranking"),
+            ([], "pipeline config"),
+        ],
+        ids=[
+            "top-level-typo",
+            "scope-mode",
+            "unavailable-string",
+            "unavailable-number",
+            "schedule-typo",
+            "float-dimension",
+            "float-h",
+            "not-an-object",
+        ],
+    )
+    def test_invalid_config_exits_2_naming_it(self, inputs, capsys, config_doc, named):
+        schema, trace, tmp_path = inputs
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_doc))
+        out = tmp_path / "idx"
+        code = main(
+            [
+                "index",
+                "--schema",
+                str(schema),
+                "--trace",
+                str(trace),
+                "--out",
+                str(out),
+                "--config",
+                str(config),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1
+        assert named in json.loads(captured.err)["error"]
+        assert not out.exists()
+
+
 class TestQuery:
     def test_json_output_with_entities(self, inputs, capsys):
         _, out, _ = _index(inputs, capsys)
@@ -256,6 +307,16 @@ class TestQuery:
         assert len(payload["entities"]) <= 2
 
 
+    @pytest.mark.parametrize("bad", ["0", "-1"])
+    def test_non_positive_max_entities_exits_2(self, inputs, capsys, bad):
+        _, out, _ = _index(inputs, capsys)
+        code = main(["query", "--index", str(out), "open orders", "--max-entities", bad])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "max_entities" in json.loads(captured.err)["error"]
+
+
 class TestEvalAndBench:
     def test_eval_writes_csv(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
@@ -342,3 +403,54 @@ class TestEvalAndBench:
             outs.append(out.read_text())
         capsys.readouterr()
         assert outs[0] != outs[1]
+
+    @pytest.mark.parametrize(
+        "profile_doc,named",
+        [
+            ({"tabel_count": 30}, "tabel_count"),
+            ({"table_count": "30"}, "table_count"),
+            ({"table_count": 30.5}, "table_count"),
+            ({"seed": True}, "seed"),
+            ([], "generator profile"),
+        ],
+        ids=["typo", "string-count", "float-count", "boolean-seed", "not-an-object"],
+    )
+    def test_invalid_profile_exits_2_naming_it(self, tmp_path, capsys, profile_doc, named):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(profile_doc))
+        code = main(["bench", "--profile", str(profile), "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1
+        assert named in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize(
+        "schedules_doc,named",
+        [
+            ([{"steps": [[4, 8, 6]], "scope_combin": "intersection"}], "scope_combin"),
+            ({"steps": [[4, 8, 6]]}, "--schedules"),
+        ],
+        ids=["entry-typo", "not-a-list"],
+    )
+    def test_invalid_schedules_exit_2_naming_it(
+        self, inputs, capsys, schedules_doc, named
+    ):
+        schema, trace, tmp_path = inputs
+        schedules = tmp_path / "schedules.json"
+        schedules.write_text(json.dumps(schedules_doc))
+        code = main(
+            [
+                "eval",
+                "--schema",
+                str(schema),
+                "--trace",
+                str(trace),
+                "--schedules",
+                str(schedules),
+                "--out",
+                str(tmp_path / "rows.csv"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in json.loads(captured.err)["error"]

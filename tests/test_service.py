@@ -2,15 +2,18 @@ import json
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csr.artifacts import save_index, schema_version_of
 from csr.cli import main
 from csr.contextual import build_chunk_index
 from csr.pipeline import PipelineConfig
+from csr import pipeline as pipeline_module
 from csr import service as service_module
 from csr.service import MAX_BODY_BYTES, RetrievalService, make_server
 from csr.structural import build_knowledge_graph
@@ -134,6 +137,32 @@ class TestEndpoints:
             assert resp.status_code == 400, bad
             assert "max_entities" in resp.json()["error"]
 
+    def test_misspelled_schedule_key_is_400(self, running_service):
+        base, _ = running_service
+        resp = requests.post(
+            base + "/v1/retrieve",
+            json={
+                "question": "customer orders",
+                "schedule_override": {
+                    "steps": [[4, 8, 6]],
+                    "scope_combin": "intersection",
+                },
+            },
+            timeout=5,
+        )
+        assert resp.status_code == 400
+        assert "scope_combin" in resp.json()["error"]
+
+    def test_unknown_request_key_is_400(self, running_service):
+        base, _ = running_service
+        resp = requests.post(
+            base + "/v1/retrieve",
+            json={"question": "customer orders", "max_entitie": 2},
+            timeout=5,
+        )
+        assert resp.status_code == 400
+        assert "max_entitie" in resp.json()["error"]
+
     def test_max_entities_truncates(self, running_service):
         base, _ = running_service
         resp = requests.post(
@@ -255,6 +284,46 @@ class TestUnexpectedFault:
         assert resp.status_code == 200
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+_STEPS = st.lists(
+    st.lists(st.integers(min_value=-1, max_value=40) | _JSON_VALUES, max_size=4),
+    max_size=4,
+)
+_SCHEDULES = st.fixed_dictionaries(
+    {},
+    optional={
+        "steps": _STEPS | _JSON_VALUES,
+        "scope_combine": st.sampled_from(["union", "intersection"]) | _JSON_VALUES,
+    },
+)
+_REQUESTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "question": st.sampled_from(["customer orders", "open shipments", " "])
+        | _JSON_VALUES,
+        "schedule_override": _SCHEDULES | _JSON_VALUES,
+        "max_entities": st.integers(min_value=-1, max_value=40) | _JSON_VALUES,
+        "include_timings": _JSON_VALUES,
+        "max_entitie": _JSON_VALUES,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_REQUESTS | _JSON_VALUES)
+def test_any_request_document_gets_a_json_answer_and_never_500(running_service, doc):
+    _, service = running_service
+    status, payload = service.retrieve(doc)
+    assert status in (200, 400, 422), (status, payload)
+    assert isinstance(payload, dict)
+    json.dumps(payload)
+
+
 class TestConcurrency:
     def test_fifty_concurrent_identical_requests(self, running_service):
         base, _ = running_service
@@ -286,3 +355,56 @@ class TestCliParity:
         ).text
         assert json.loads(cli_payload) == json.loads(service_payload)
         assert cli_payload == service_payload
+
+
+class TestLoadShedding:
+    def test_requests_beyond_the_queue_get_json_503(
+        self, shop_catalog, small_config, monkeypatch
+    ):
+        # One retrieval slot and two queue places: of four concurrent
+        # clients, three are admitted and block in the pipeline, and the
+        # fourth is turned away at once.
+        monkeypatch.setattr(service_module, "MAX_QUEUED", 2)
+        release = threading.Event()
+        run_pipeline = pipeline_module.run_pipeline
+
+        def blocking_run_pipeline(*args):
+            release.wait(timeout=30)
+            return run_pipeline(*args)
+
+        monkeypatch.setattr(pipeline_module, "run_pipeline", blocking_run_pipeline)
+        service = RetrievalService(
+            catalog=shop_catalog,
+            chunk_index=build_chunk_index(SHOP_TRACE, shop_catalog, small_config),
+            graph=build_knowledge_graph(shop_catalog, small_config),
+            config=PipelineConfig(similarity=small_config),
+            schema_version=schema_version_of(shop_catalog),
+            max_concurrent=1,
+        )
+        server = make_server(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        url = f"http://127.0.0.1:{server.server_address[1]}/v1/retrieve"
+
+        def post(_):
+            return requests.post(url, json={"question": "customer orders"}, timeout=30)
+
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(post, i) for i in range(4)]
+                done, _ = wait(futures, timeout=20, return_when=FIRST_COMPLETED)
+                assert len(done) == 1
+                shed = next(iter(done)).result()
+                assert shed.status_code == 503
+                assert shed.headers["Content-Type"] == "application/json"
+                assert "waiting" in shed.json()["error"]
+                release.set()
+                statuses = sorted(f.result().status_code for f in futures)
+            assert statuses == [200, 200, 200, 503]
+            assert post(None).status_code == 200
+        finally:
+            release.set()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csr.sqlrefs import (
     SqlExtractError,
@@ -163,3 +165,40 @@ class TestExtractor:
         )
         assert rel.table_names(shop_catalog) == {"customers"}
         assert rel.column_names(shop_catalog) == set()
+
+
+# Pieces of SQL (keywords, shop names, quotes, comment and bracket marks,
+# multi-byte text) glued with and without spaces, so random texts reach the
+# tokenizer's literal and comment branches and the extractor's clauses.
+_SQL_PIECES = st.sampled_from(
+    [
+        "SELECT", "FROM", "JOIN", "ON", "WHERE", "WITH", "AS", "GROUP BY",
+        "customers", "orders", "c", "o", "name", "customer_id", "c.name",
+        "(", ")", ",", ".", "*", "=", ";", "'", "''", "'x'", '"', "`", "[",
+        "]", "--", "/*", "*/", "\n", "1.5", "é", "数据", " ",
+    ]
+)
+_SQL_TEXTS = st.text() | st.lists(_SQL_PIECES | st.text(max_size=3), max_size=24).map(
+    "".join
+) | st.lists(_SQL_PIECES, max_size=24).map(" ".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sql=_SQL_TEXTS)
+def test_token_offsets_increase_within_the_utf8_text(sql):
+    try:
+        tokens = tokenize_sql(sql)
+    except SqlTokenError:
+        return
+    offsets = [t.offset for t in tokens]
+    assert all(a < b for a, b in zip(offsets, offsets[1:]))
+    assert all(0 <= o < len(sql.encode("utf-8")) for o in offsets)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sql=_SQL_TEXTS)
+def test_extraction_raises_only_sql_errors(shop_catalog, sql):
+    try:
+        extract_relevant_set(sql, shop_catalog)
+    except (SqlTokenError, SqlExtractError):
+        pass

@@ -1,5 +1,6 @@
 import json
 import statistics
+from dataclasses import asdict
 
 import pytest
 
@@ -34,7 +35,7 @@ class TestProfile:
 
     def test_round_trips_dict(self):
         profile = GeneratorProfile(table_count=30, seed=4)
-        assert GeneratorProfile.from_dict(profile.to_dict()) == profile
+        assert GeneratorProfile.from_dict(asdict(profile)) == profile
 
 
 class TestGeneration:
