@@ -5,22 +5,23 @@ chunk's question, SQL and labels. The built-in embedder's vectors are
 recomputed from the term counts at load, so a ``hashed_tfidf`` index is
 exactly ``manifest.json``, ``catalog.json`` and ``chunks.json``. An
 ``external`` embedder's vectors cannot be recomputed offline; for it the two
-embedding matrices are stored too (raw little-endian float64 next to a JSON
-sidecar), and loading checks that their rows line up with the rebuilt items.
+embedding matrices are stored too, as ``.npy`` files of little-endian
+float64, and loading checks that their rows line up with the rebuilt items.
 
 Loading rebuilds the chunk index and the knowledge graph with the builders
-``csr index`` uses. The manifest carries the SHA-256 of every file and, in
-``manifest_sha256``, of its own canonical JSON without that field; loading
-checks the format version first, so an index of another version fails fast
-and must be rebuilt, then the manifest's own hash, before any other field
-is used. The hashes detect edits and corruption; they are not a signature.
-JSON is written canonically (sorted keys, no whitespace), so an identical
-build produces identical bytes and content hashes.
+``csr index`` uses. The manifest maps each file name to its SHA-256, and
+``manifest_sha256`` holds the hash of the manifest's own canonical JSON
+without that field. Loading checks the format version first (an index of
+another version must be rebuilt), then the manifest's own hash, then that it
+lists exactly the format's files; each file is then read once, and the bytes
+hashed are the bytes parsed. The hashes detect edits and corruption; they are
+not a signature. JSON is canonical, so identical builds give identical bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .pipeline import PipelineConfig
 from .sqlrefs import RelevantSet
 from .structural import KnowledgeGraph, build_knowledge_graph
 
-FORMAT_VERSION = "3"
+FORMAT_VERSION = "4"
 
 MANIFEST_NAME = "manifest.json"
 
@@ -40,17 +41,13 @@ MANIFEST_NAME = "manifest.json"
 SELF_HASH = "manifest_sha256"
 
 
-def format_files(embedder: str) -> dict[str, list[str]]:
-    """Every file of the format, by artifact, for an index built with
-    ``embedder``; a manifest must list exactly these, so no file is read
-    unverified."""
+def format_files(embedder: str) -> list[str]:
+    """Every file of the format for an index built with ``embedder``; a
+    manifest must list exactly these, so no file is read unverified."""
+    files = ["catalog.json", "chunks.json"]
     if embedder == "external":
-        return {
-            "catalog": ["catalog.json"],
-            "chunks": ["chunk_vectors.bin", "chunk_vectors.meta.json", "chunks.json"],
-            "graph": ["graph_vectors.bin", "graph_vectors.meta.json"],
-        }
-    return {"catalog": ["catalog.json"], "chunks": ["chunks.json"]}
+        files += ["chunk_vectors.npy", "graph_vectors.npy"]
+    return files
 
 
 class ArtifactError(RuntimeError):
@@ -78,17 +75,12 @@ def schema_version_of(catalog: SchemaCatalog) -> str:
     return _sha256(_canonical_json(to_document(catalog)))[:12]
 
 
-def _vector_files(name: str, matrix: np.ndarray | None) -> dict[str, bytes]:
+def _npy(name: str, matrix: np.ndarray | None) -> bytes:
     if matrix is None:
         raise ValueError(f"{name}: an external-embedder index needs its vectors")
-    data = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
-    meta = {
-        "dtype": "float64",
-        "byte_order": "little",
-        "count": int(matrix.shape[0]),
-        "dimension": int(matrix.shape[1]) if matrix.ndim == 2 else 0,
-    }
-    return {f"{name}.bin": data, f"{name}.meta.json": _canonical_json(meta)}
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(matrix, dtype="<f8"), allow_pickle=False)
+    return buf.getvalue()
 
 
 def save_index(
@@ -103,9 +95,6 @@ def save_index(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    files: dict[str, dict[str, bytes]] = {}
-    files["catalog"] = {"catalog.json": _canonical_json(to_document(catalog))}
-
     chunk_doc = {
         "chunks": [
             {
@@ -117,25 +106,22 @@ def save_index(
             for c in chunk_index.chunks
         ]
     }
-    files["chunks"] = {"chunks.json": _canonical_json(chunk_doc)}
+    files = {
+        "catalog.json": _canonical_json(to_document(catalog)),
+        "chunks.json": _canonical_json(chunk_doc),
+    }
     if config.similarity.embedder == "external":
-        files["chunks"].update(
-            _vector_files("chunk_vectors", chunk_index.corpus.vectors)
-        )
-        files["graph"] = _vector_files("graph_vectors", graph.corpus.vectors)
+        files["chunk_vectors.npy"] = _npy("chunk_vectors", chunk_index.corpus.vectors)
+        files["graph_vectors.npy"] = _npy("graph_vectors", graph.corpus.vectors)
 
+    for name, data in files.items():
+        (out / name).write_bytes(data)
     manifest: dict = {
         "format_version": FORMAT_VERSION,
         "schema_version": schema_version_of(catalog),
         "config": config.to_dict(),
-        "artifacts": {},
+        "files": {name: _sha256(data) for name, data in files.items()},
     }
-    for artifact, file_map in files.items():
-        entry = {"files": {}}
-        for fname, data in file_map.items():
-            (out / fname).write_bytes(data)
-            entry["files"][fname] = _sha256(data)
-        manifest["artifacts"][artifact] = entry
     manifest[SELF_HASH] = _self_hash(manifest)
     (out / MANIFEST_NAME).write_bytes(_canonical_json(manifest))
     return manifest
@@ -166,26 +152,28 @@ def load_index(
 
     config = PipelineConfig.from_dict(manifest.get("config", {}))
     similarity = config.similarity
+    hashes = manifest.get("files")
+    if not isinstance(hashes, dict):
+        raise ArtifactError("malformed manifest: no files map")
     expected = format_files(similarity.embedder)
-    listed = {
-        name: sorted(entry["files"]) for name, entry in manifest["artifacts"].items()
-    }
-    if listed != expected:
+    if sorted(hashes) != sorted(expected):
         raise ArtifactError(
-            f"manifest lists {listed}, format {FORMAT_VERSION} needs {expected}"
+            f"manifest lists {sorted(hashes)}, format {FORMAT_VERSION} needs {expected}"
         )
 
-    for entry in manifest["artifacts"].values():
-        for fname, expected_hash in entry["files"].items():
-            path = root / fname
-            if not path.is_file():
-                raise ArtifactError(f"artifact file missing: {path}")
-            if _sha256(path.read_bytes()) != expected_hash:
-                raise ArtifactError(f"artifact file corrupted: {path}")
+    def verified(name: str) -> bytes:
+        path = root / name
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            raise ArtifactError(f"artifact file missing: {path}") from None
+        if _sha256(data) != hashes[name]:
+            raise ArtifactError(f"artifact file corrupted: {path}")
+        return data
 
-    catalog = load_catalog(json.loads((root / "catalog.json").read_text("utf-8")))
-
-    chunk_doc = json.loads((root / "chunks.json").read_text("utf-8"))
+    # Decoded first, so the bytes are freed before the text is parsed.
+    catalog = load_catalog(json.loads(verified("catalog.json").decode("utf-8")))
+    chunk_doc = json.loads(verified("chunks.json").decode("utf-8"))
     try:
         labelled = [
             (
@@ -202,12 +190,10 @@ def load_index(
         raise ArtifactError(f"malformed chunks.json: {exc!r}") from exc
     chunk_vectors = graph_vectors = None
     if similarity.embedder == "external":
-        chunk_vectors = _load_vectors(
-            root, "chunk_vectors", len(labelled), similarity.dimension
-        )
-        graph_vectors = _load_vectors(
-            root, "graph_vectors", catalog.column_count, similarity.dimension
-        )
+        shape = (len(labelled), similarity.dimension)
+        chunk_vectors = _matrix("chunk_vectors.npy", verified("chunk_vectors.npy"), shape)
+        shape = (catalog.column_count, similarity.dimension)
+        graph_vectors = _matrix("graph_vectors.npy", verified("graph_vectors.npy"), shape)
     chunk_index = index_labelled_chunks(labelled, catalog, similarity, chunk_vectors)
     graph = build_knowledge_graph(catalog, similarity, graph_vectors)
     return catalog, chunk_index, graph, config, manifest
@@ -215,38 +201,27 @@ def load_index(
 
 def _read_manifest(path: Path) -> dict:
     """The manifest document, or ArtifactError unless it is an object with a
-    format version and an ``artifacts`` map of ``files`` maps."""
+    format version."""
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        artifacts = manifest["artifacts"]
-        valid = "format_version" in manifest and all(
-            isinstance(entry["files"], dict) for entry in artifacts.values()
-        )
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        manifest = json.loads(path.read_bytes())
+    except ValueError as exc:
         raise ArtifactError(f"malformed manifest: {exc!r}") from exc
-    if not valid:
-        raise ArtifactError("malformed manifest: no format_version or files map")
+    if not isinstance(manifest, dict) or "format_version" not in manifest:
+        raise ArtifactError("malformed manifest: no format_version")
     return manifest
 
 
-def _load_vectors(root: Path, name: str, count: int, dimension: int) -> np.ndarray:
-    """The saved matrix, which must hold one ``dimension``-wide row for each
-    of the ``count`` items derived from the other artifacts."""
-    meta = json.loads((root / f"{name}.meta.json").read_text("utf-8"))
-    if not isinstance(meta, dict):
-        raise ArtifactError(f"malformed {name}.meta.json: not a JSON object")
-    if meta.get("dtype") != "float64" or meta.get("byte_order") != "little":
-        raise ArtifactError(f"unsupported vector encoding in {name}.meta.json")
-    if (meta.get("count"), meta.get("dimension")) != (count, dimension):
+def _matrix(name: str, data: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """The ``.npy`` matrix in ``data``, which must hold one float64 row of
+    the config's dimension for each item derived from the other files."""
+    try:
+        # The .npy reader alone: unlike np.load it never unpickles or
+        # opens an .npz archive, whatever the leading bytes.
+        matrix = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+    except (ValueError, MemoryError) as exc:
+        raise ArtifactError(f"malformed {name}: {exc}") from exc
+    if matrix.dtype != "<f8" or matrix.shape != shape:
         raise ArtifactError(
-            f"{name} holds {meta.get('count')} vectors of dimension "
-            f"{meta.get('dimension')}, index needs {count} of dimension {dimension}"
+            f"{name} holds {matrix.dtype} {matrix.shape}, index needs float64 {shape}"
         )
-    data = (root / f"{name}.bin").read_bytes()
-    expected = count * dimension * 8
-    if len(data) != expected:
-        raise ArtifactError(
-            f"{name}.bin has {len(data)} bytes, sidecar implies {expected}"
-        )
-    # Read-only over the file's bytes: nothing writes to a loaded index.
-    return np.frombuffer(data, dtype="<f8").reshape(count, dimension)
+    return matrix

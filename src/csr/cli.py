@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .artifacts import ArtifactError, load_index, save_index
-from .catalog import CatalogError, load_catalog
+from .catalog import CatalogError, from_document, load_catalog
 from .contextual import build_chunk_index
 from .evaluation import (
     default_sweep_schedules,
@@ -51,17 +51,40 @@ def _fail(code: int, **fields) -> int:
     return code
 
 
+@dataclasses.dataclass(frozen=True)
+class TraceEntry:
+    """One line of a question/SQL trace; ``tables``, when given, overrides
+    the table set extracted from the SQL."""
+
+    question: str
+    sql: str
+    tables: list[str] | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("question", "sql"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value.strip():
+                raise ValueError(f"{name} must be a nonempty string")
+        tables = self.tables
+        if tables is not None and not (
+            isinstance(tables, list) and all(isinstance(t, str) for t in tables)
+        ):
+            raise ValueError("tables must be a list of table names")
+
+
 def _load_trace(path: str | Path) -> list[dict]:
+    """The trace's entries as the dicts ``build_chunk_index`` takes; a line
+    that is not a valid ``TraceEntry`` is an error naming ``path:line``."""
     entries = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            doc = json.loads(line)
-            if "question" not in doc or "sql" not in doc:
-                raise ValueError(f"{path}:{line_no}: trace entry needs question and sql")
-            entries.append(doc)
+            try:
+                entry = from_document(TraceEntry, json.loads(line), "trace entry")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+            entries.append(dataclasses.asdict(entry))
     if not entries:
         raise ValueError(f"{path}: empty trace")
     return entries
@@ -103,7 +126,7 @@ def cmd_index(args) -> int:
         json.dumps(
             {
                 "out": str(args.out),
-                "artifacts": sorted(manifest["artifacts"]),
+                "files": sorted(manifest["files"]),
                 "schema_version": manifest["schema_version"],
             }
         )

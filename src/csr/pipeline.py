@@ -100,21 +100,30 @@ class PipelineConfig:
             doc,
             "pipeline config",
             similarity=lambda d: from_document(SimilarityConfig, d, "similarity config"),
-            ranking=lambda d: from_document(RankingConfig, d, "ranking config"),
+            ranking=_ranking_from_dict,
             schedule=IterationSchedule.from_dict,
         )
 
     def to_dict(self) -> dict:
         doc = {
-            # asdict walks the same dataclass fields that from_document accepts.
+            # asdict walks the same dataclass fields that from_document accepts;
+            # ranking's h is the one field it refuses.
             "similarity": asdict(self.similarity),
-            "ranking": asdict(self.ranking),
+            "ranking": {k: v for k, v in asdict(self.ranking).items() if k != "h"},
             "contextual_scope_mode": self.contextual_scope_mode,
             "unavailable_tables": list(self.unavailable_tables),
         }
         if self.schedule is not None:
             doc["schedule"] = self.schedule.to_dict()
         return doc
+
+
+def _ranking_from_dict(doc) -> RankingConfig:
+    # run_pipeline ranks with the last schedule step's h, so a config's own
+    # h would have no effect.
+    if isinstance(doc, dict) and "h" in doc:
+        raise ValueError("invalid ranking config: h is set per schedule step")
+    return from_document(RankingConfig, doc, "ranking config")
 
 
 @dataclass(frozen=True)

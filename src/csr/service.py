@@ -30,7 +30,7 @@ import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .catalog import SchemaCatalog, catalog_stats
+from .catalog import SchemaCatalog, catalog_stats, is_int
 from .contextual import ChunkIndex
 from .pipeline import PipelineConfig, QueryRequest, ScopeCollapsedError, answer
 from .similarity import EmbeddingProviderError
@@ -55,6 +55,8 @@ class RetrievalService:
     _admitted: threading.Semaphore = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not is_int(self.max_concurrent) or self.max_concurrent < 1:
+            raise ValueError("max_concurrent must be an integer >= 1")
         self._gate = threading.Semaphore(self.max_concurrent)
         # Running plus waiting requests; any beyond are shed with a 503.
         self._admitted = threading.Semaphore(self.max_concurrent + MAX_QUEUED)

@@ -48,6 +48,20 @@ class GeneratorProfile:
             )
         if min(counts) < 1:
             raise ProfileError("counts must be >= 1")
+        targets = (
+            self.fk_median_target,
+            self.tables_per_query_p_ge7,
+            self.tables_per_query_stddev,
+            self.columns_per_table_mean,
+        )
+        if not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in targets
+        ):
+            raise ProfileError(
+                "fk_median_target, tables_per_query_p_ge7, tables_per_query_stddev "
+                "and columns_per_table_mean must be finite numbers"
+            )
         if not 0.0 <= self.tables_per_query_p_ge7 <= 1.0:
             raise ProfileError("tables_per_query_p_ge7 must be in [0, 1]")
         if self.fk_median_target < 0 or self.tables_per_query_stddev <= 0:

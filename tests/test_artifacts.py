@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import shutil
 import tempfile
@@ -14,6 +15,7 @@ from csr import artifacts
 from csr.artifacts import (
     ArtifactError,
     ArtifactVersionError,
+    format_files,
     load_index,
     save_index,
     schema_version_of,
@@ -21,18 +23,13 @@ from csr.artifacts import (
 from csr.catalog import to_document
 from csr.cli import main
 from csr.contextual import build_chunk_index
-from csr.pipeline import PipelineConfig
+from csr.pipeline import IterationSchedule, PipelineConfig
 from csr.similarity import embed
 from csr.structural import build_knowledge_graph
 
 from conftest import SHOP_TRACE, external_config, write_sealed_manifest
 
-VECTOR_FILES = [
-    "chunk_vectors.bin",
-    "chunk_vectors.meta.json",
-    "graph_vectors.bin",
-    "graph_vectors.meta.json",
-]
+VECTOR_FILES = ["chunk_vectors.npy", "graph_vectors.npy"]
 
 
 def _build(catalog, similarity):
@@ -58,7 +55,7 @@ def external_built(shop_catalog, stub_provider):
 def test_save_then_load_round_trips(built, tmp_path):
     catalog, index, graph, config = built
     manifest = save_index(tmp_path, catalog, index, graph, config)
-    assert sorted(manifest["artifacts"]) == ["catalog", "chunks"]
+    assert sorted(manifest["files"]) == ["catalog.json", "chunks.json"]
 
     r_catalog, r_index, r_graph, r_config, r_manifest = load_index(tmp_path)
     assert to_document(r_catalog) == to_document(catalog)
@@ -101,16 +98,16 @@ def test_version_mismatch_fails_fast(built, tmp_path):
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(ArtifactVersionError) as err:
         load_index(tmp_path)
-    assert err.value.expected == "3"
+    assert err.value.expected == "4"
     assert err.value.found == "99"
 
 
 def test_corrupted_file_detected(external_built, tmp_path):
     catalog, index, graph, config = external_built
     save_index(tmp_path, catalog, index, graph, config)
-    blob = tmp_path / "chunk_vectors.bin"
+    blob = tmp_path / "chunk_vectors.npy"
     data = bytearray(blob.read_bytes())
-    data[0] ^= 0xFF
+    data[-1] ^= 0xFF
     blob.write_bytes(bytes(data))
     with pytest.raises(ArtifactError, match="corrupted"):
         load_index(tmp_path)
@@ -140,7 +137,7 @@ def test_hashed_index_loads_without_vector_files(built, tmp_path, monkeypatch):
     def no_vector_files(*args):
         raise AssertionError("a hashed_tfidf index has no vector files to open")
 
-    monkeypatch.setattr(artifacts, "_load_vectors", no_vector_files)
+    monkeypatch.setattr(artifacts, "_matrix", no_vector_files)
     _, r_index, r_graph, _, _ = load_index(tmp_path)
     assert r_index.corpus.vectors is None
     assert r_graph.corpus.vectors is None
@@ -152,36 +149,43 @@ def test_external_index_stores_and_reloads_its_vectors(external_built, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["catalog.json", "chunks.json", "manifest.json", *VECTOR_FILES]
     )
-    assert sorted(manifest["artifacts"]) == ["catalog", "chunks", "graph"]
+    assert sorted(manifest["files"]) == sorted(format_files("external"))
+    assert format_files("external") == ["catalog.json", "chunks.json", *VECTOR_FILES]
     _, r_index, r_graph, _, _ = load_index(tmp_path)
     assert np.array_equal(r_index.corpus.vectors, index.corpus.vectors)
     assert np.array_equal(r_graph.corpus.vectors, graph.corpus.vectors)
 
 
 @pytest.mark.parametrize(
-    "text",
+    "doc",
     [
-        "{not json",
-        json.dumps({"format_version": "2"}),
-        json.dumps({"format_version": "2", "artifacts": []}),
+        None,
+        {"format_version": "4"},
+        {"format_version": "4", "files": ["catalog.json", "chunks.json"]},
     ],
     ids=["not-json", "no-artifacts", "artifacts-list"],
 )
-def test_malformed_manifest_is_artifact_error(built, tmp_path, text):
+def test_malformed_manifest_is_artifact_error(built, tmp_path, doc):
+    # The sealed documents pass the version and self-hash checks, so only
+    # the missing or list-shaped file map is wrong.
     catalog, index, graph, config = built
     save_index(tmp_path, catalog, index, graph, config)
-    (tmp_path / "manifest.json").write_text(text)
-    with pytest.raises(ArtifactError, match="manifest"):
+    manifest_path = tmp_path / "manifest.json"
+    if doc is None:
+        manifest_path.write_text("{not json")
+    else:
+        write_sealed_manifest(manifest_path, doc)
+    with pytest.raises(ArtifactError, match="malformed manifest"):
         load_index(tmp_path)
 
 
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda artifacts: artifacts.clear(),
-        lambda artifacts: artifacts["chunks"]["files"].pop("chunks.json"),
-        lambda artifacts: artifacts.pop("chunks"),
-        lambda artifacts: artifacts["chunks"]["files"].update({"extra.bin": "0" * 64}),
+        lambda files: files.clear(),
+        lambda files: files.pop("chunks.json"),
+        lambda files: files.pop("catalog.json"),
+        lambda files: files.update({"extra.npy": "0" * 64}),
     ],
     ids=["empty", "file-unlisted", "artifact-unlisted", "extra-file"],
 )
@@ -190,19 +194,19 @@ def test_manifest_must_list_exactly_the_format_files(built, tmp_path, edit):
     save_index(tmp_path, catalog, index, graph, config)
     manifest_path = tmp_path / "manifest.json"
     doc = json.loads(manifest_path.read_text())
-    edit(doc["artifacts"])
+    edit(doc["files"])
     write_sealed_manifest(manifest_path, doc)
     with pytest.raises(ArtifactError, match="manifest lists"):
         load_index(tmp_path)
 
 
 def test_unlisted_hand_edited_chunks_are_rejected(built, tmp_path):
-    """An emptied ``artifacts`` map must not let an edited file load unverified."""
+    """An emptied ``files`` map must not let an edited file load unverified."""
     catalog, index, graph, config = built
     save_index(tmp_path, catalog, index, graph, config)
     manifest_path = tmp_path / "manifest.json"
     doc = json.loads(manifest_path.read_text())
-    doc["artifacts"] = {}
+    doc["files"] = {}
     write_sealed_manifest(manifest_path, doc)
     chunks_path = tmp_path / "chunks.json"
     chunks = json.loads(chunks_path.read_text())
@@ -218,7 +222,7 @@ def test_vectors_must_match_config_dimension(external_built, tmp_path):
     wider = dataclasses.replace(built_with.similarity, dimension=256)
     config = PipelineConfig(similarity=wider)
     save_index(tmp_path, catalog, index, graph, config)
-    with pytest.raises(ArtifactError, match="dimension 256"):
+    with pytest.raises(ArtifactError, match=r"\(5, 128\), index needs float64 \(5, 256\)"):
         load_index(tmp_path)
 
 
@@ -226,44 +230,87 @@ def test_vectors_must_match_derived_item_count(external_built, tmp_path):
     catalog, index, graph, config = external_built
     index.chunks = index.chunks[:-1]
     save_index(tmp_path, catalog, index, graph, config)
-    with pytest.raises(ArtifactError, match="chunk_vectors"):
+    with pytest.raises(ArtifactError, match=r"chunk_vectors.npy .*needs float64 \(4, 128\)"):
         load_index(tmp_path)
 
 
-def test_vector_sidecar_describes_payload(external_built, tmp_path):
+def test_vector_files_are_npy_of_the_item_shape(external_built, tmp_path):
     catalog, index, graph, config = external_built
-    save_index(tmp_path, catalog, index, graph, config)
-    meta = json.loads((tmp_path / "chunk_vectors.meta.json").read_text())
-    assert meta["count"] == len(index)
-    assert meta["dimension"] == index.corpus.config.dimension
-    assert meta["dtype"] == "float64"
-    assert meta["byte_order"] == "little"
-    raw = (tmp_path / "chunk_vectors.bin").read_bytes()
-    assert len(raw) == meta["count"] * meta["dimension"] * 8
+    save_index(tmp_path / "a", catalog, index, graph, config)
+    save_index(tmp_path / "b", catalog, index, graph, config)
+    for name, rows, vectors in (
+        ("chunk_vectors.npy", len(index), index.corpus.vectors),
+        ("graph_vectors.npy", catalog.column_count, graph.corpus.vectors),
+    ):
+        raw = (tmp_path / "a" / name).read_bytes()
+        assert raw == (tmp_path / "b" / name).read_bytes()
+        matrix = np.load(io.BytesIO(raw), allow_pickle=False)
+        assert matrix.dtype == np.dtype("<f8")
+        assert matrix.shape == (rows, index.corpus.config.dimension)
+        assert matrix.flags.c_contiguous
+        assert np.array_equal(matrix, vectors)
+        # A 128-byte header, then the rows.
+        assert len(raw) == 128 + matrix.nbytes
 
 
-def _replace_listed_file(root, artifact: str, name: str, body: bytes) -> None:
+def _replace_listed_file(root, name: str, body: bytes) -> None:
     """Overwrite one file of a saved index and update its hash in a resealed
     manifest, so that only the file's content is wrong."""
     (root / name).write_bytes(body)
     doc = json.loads((root / "manifest.json").read_text())
-    doc["artifacts"][artifact]["files"][name] = hashlib.sha256(body).hexdigest()
+    doc["files"][name] = hashlib.sha256(body).hexdigest()
     write_sealed_manifest(root / "manifest.json", doc)
 
 
-def test_malformed_vector_sidecar_exits_2(external_built, tmp_path, capsys):
-    """A sidecar whose hash the manifest matches but which is not a JSON
-    object is an artifact error: one JSON line and exit 2, no traceback."""
+def _npy_bytes(array, allow_pickle=False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _npz_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, vectors=array)
+    return buf.getvalue()
+
+
+def _absurd_shape_bytes(raw, matrix) -> bytes:
+    """A valid header for far more rows than any machine can hold, then the
+    saved rows."""
+    buf = io.BytesIO()
+    header = {"descr": "<f8", "fortran_order": False, "shape": (10**13, matrix.shape[1])}
+    np.lib.format.write_array_header_1_0(buf, header)
+    return buf.getvalue() + raw[128:]
+
+
+DAMAGED_NPY = {
+    "empty": lambda raw, m: b"",
+    "truncated": lambda raw, m: raw[:-8],
+    "pickled-object": lambda raw, m: _npy_bytes(m.astype(object), allow_pickle=True),
+    "float32": lambda raw, m: _npy_bytes(m.astype("<f4")),
+    "wrong-shape": lambda raw, m: _npy_bytes(m[:, :-1]),
+    "npz-archive": lambda raw, m: _npz_bytes(m),
+    "absurd-shape": _absurd_shape_bytes,
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGED_NPY), ids=list(DAMAGED_NPY))
+def test_damaged_vector_file_exits_2(external_built, tmp_path, capsys, damage):
+    """A vector file whose hash the manifest matches but whose content is not
+    the expected float64 matrix is an artifact error: ``csr query`` prints one
+    JSON line and exits 2, with no traceback."""
     catalog, index, graph, config = external_built
     save_index(tmp_path, catalog, index, graph, config)
-    _replace_listed_file(tmp_path, "chunks", "chunk_vectors.meta.json", b"[]")
-    with pytest.raises(ArtifactError, match="chunk_vectors.meta.json"):
+    raw = (tmp_path / "chunk_vectors.npy").read_bytes()
+    body = DAMAGED_NPY[damage](raw, index.corpus.vectors)
+    _replace_listed_file(tmp_path, "chunk_vectors.npy", body)
+    with pytest.raises(ArtifactError, match="chunk_vectors.npy"):
         load_index(tmp_path)
     code = main(["query", "--index", str(tmp_path), "open orders"])
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1
-    assert "chunk_vectors.meta.json" in json.loads(err[0])["error"]
+    assert "chunk_vectors.npy" in json.loads(err[0])["error"]
 
 
 @pytest.mark.parametrize(
@@ -273,10 +320,10 @@ def test_malformed_vector_sidecar_exits_2(external_built, tmp_path, capsys):
 )
 def test_malformed_chunks_document_exits_2(built, tmp_path, capsys, body):
     """A ``chunks.json`` whose hash the manifest matches but whose shape is
-    wrong is an artifact error, like a malformed vector sidecar."""
+    wrong is an artifact error, like a damaged vector file."""
     catalog, index, graph, config = built
     save_index(tmp_path, catalog, index, graph, config)
-    _replace_listed_file(tmp_path, "chunks", "chunks.json", body)
+    _replace_listed_file(tmp_path, "chunks.json", body)
     code = main(["query", "--index", str(tmp_path), "open orders"])
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
@@ -289,7 +336,7 @@ def test_malformed_chunks_document_exits_2(built, tmp_path, capsys, body):
     [
         ('"dimension":128', '"dimension":928'),
         ('"bm25_k1":1.2', '"bm25_k1":1.3'),
-        ('"h":16', '"h":96'),
+        ('"steps":[[4,8,16]]', '"steps":[[4,8,96]]'),
         ('"metric":"cosine"', '"metric":"cosinf"'),
     ],
     ids=["dimension", "bm25_k1", "h", "metric"],
@@ -298,6 +345,8 @@ def test_one_byte_manifest_edit_is_rejected(built, tmp_path, before, after):
     """Every field of the manifest is covered by its own hash, so an edited
     config snapshot cannot load under the saved files."""
     catalog, index, graph, config = built
+    # h lives in the schedule's steps.
+    config = dataclasses.replace(config, schedule=IterationSchedule(steps=((4, 8, 16),)))
     save_index(tmp_path, catalog, index, graph, config)
     manifest_path = tmp_path / "manifest.json"
     text = manifest_path.read_text()
@@ -316,8 +365,48 @@ def test_manifest_of_format_2_is_a_version_mismatch(built, tmp_path):
     del doc["manifest_sha256"]
     doc["format_version"] = "2"
     manifest_path.write_text(json.dumps(doc))
-    with pytest.raises(ArtifactVersionError, match="expected 3, found 2"):
+    with pytest.raises(ArtifactVersionError, match="expected 4, found 2"):
         load_index(tmp_path)
+
+
+def test_manifest_of_format_3_is_a_version_mismatch(built, tmp_path, capsys):
+    # Format 3 grouped the files by artifact: {"artifacts": {name: {"files":
+    # {...}}}}. Its sealed manifest fails on the version, before the
+    # missing ``files`` map is seen.
+    catalog, index, graph, config = built
+    save_index(tmp_path, catalog, index, graph, config)
+    manifest_path = tmp_path / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    files = doc.pop("files")
+    doc["format_version"] = "3"
+    doc["artifacts"] = {
+        "catalog": {"files": {"catalog.json": files["catalog.json"]}},
+        "chunks": {"files": {"chunks.json": files["chunks.json"]}},
+    }
+    write_sealed_manifest(manifest_path, doc)
+    with pytest.raises(ArtifactVersionError, match="expected 4, found 3"):
+        load_index(tmp_path)
+    code = main(["query", "--index", str(tmp_path), "open orders"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert "version mismatch" in json.loads(err[0])["error"]
+
+
+@pytest.mark.parametrize("kind", ["hashed", "external"])
+def test_each_file_is_read_once(saved_indexes, kind, monkeypatch):
+    opened = []
+    path_open = Path.open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path.name)
+        return path_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    _, _, _, config, manifest = load_index(saved_indexes[kind])
+    monkeypatch.undo()
+    assert sorted(opened) == sorted(["manifest.json", *manifest["files"]])
+    assert sorted(manifest["files"]) == sorted(format_files(config.similarity.embedder))
 
 
 @pytest.fixture(scope="module")
@@ -368,7 +457,7 @@ def test_any_flipped_byte_is_rejected(saved_indexes, kind, name, data):
 
 
 def test_manifest_with_retired_parallel_key_is_rejected(built, tmp_path):
-    # ``parallel`` left the config before format 2, so no format-3 writer
+    # ``parallel`` left the config before format 2, so no format-4 writer
     # emits it: a sealed manifest carrying it has an unknown config key.
     catalog, index, graph, config = built
     save_index(tmp_path, catalog, index, graph, config)

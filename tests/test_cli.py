@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from csr import cli as cli_module
 from csr.cli import main
 
 from conftest import SHOP_DOCUMENT, SHOP_TRACE
@@ -31,8 +32,12 @@ class TestIndex:
         code, out, captured = _index(inputs, capsys)
         assert code == 0
         summary = json.loads(captured.out)
-        assert summary["artifacts"] == ["catalog", "chunks"]
-        assert (out / "manifest.json").is_file()
+        assert summary["files"] == ["catalog.json", "chunks.json"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "catalog.json",
+            "chunks.json",
+            "manifest.json",
+        ]
 
     def test_missing_schema_exits_2_with_path(self, inputs, capsys):
         _, trace, tmp_path = inputs
@@ -70,7 +75,7 @@ class TestIndex:
         capsys.readouterr()
         m1 = json.loads((tmp_path / "run1" / "manifest.json").read_text())
         m2 = json.loads((tmp_path / "run2" / "manifest.json").read_text())
-        assert m1["artifacts"] == m2["artifacts"]
+        assert m1["files"] == m2["files"]
 
 
     def test_unknown_config_key_exits_2_naming_it(self, inputs, capsys):
@@ -150,6 +155,7 @@ class TestIndex:
             ),
             ({"similarity": {"dimension": 100.5}}, "dimension"),
             ({"ranking": {"h": 2.5}}, "ranking"),
+            ({"ranking": {"h": 2}}, "h is set per schedule step"),
             ([], "pipeline config"),
         ],
         ids=[
@@ -160,6 +166,7 @@ class TestIndex:
             "schedule-typo",
             "float-dimension",
             "float-h",
+            "ranking-h",
             "not-an-object",
         ],
     )
@@ -185,6 +192,33 @@ class TestIndex:
         assert code == 2
         assert len(captured.err.splitlines()) == 1
         assert named in json.loads(captured.err)["error"]
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "line,named",
+        [
+            ('"question sql"', "must be a JSON object"),
+            ('{"question": 7, "sql": "SELECT 1 FROM orders"}', "question"),
+            ('{"question": "open orders", "sql": ""}', "sql"),
+            ('{"question": "open orders", "sql": "SELECT 1 FROM orders", "tables": "x"}', "tables"),
+            ('{"question": "open orders"}', "sql"),
+        ],
+        ids=["json-string", "numeric-question", "empty-sql", "string-tables", "no-sql"],
+    )
+    def test_invalid_trace_line_exits_2_naming_it(self, inputs, capsys, line, named):
+        schema, trace, tmp_path = inputs
+        trace.write_text(json.dumps(SHOP_TRACE[0]) + "\n" + line + "\n")
+        out = tmp_path / "idx"
+        code = main(
+            ["index", "--schema", str(schema), "--trace", str(trace), "--out", str(out)]
+        )
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1
+        message = json.loads(err[0])["error"]
+        assert message.startswith(f"{trace}:2: ")
+        assert named in message
         assert not out.exists()
 
 
@@ -370,6 +404,22 @@ class TestEvalAndBench:
         assert code == 2
         assert "bind" in json.loads(captured.err)["error"]
 
+    @pytest.mark.parametrize("slots", ["0", "-1"])
+    def test_serve_without_slots_exits_2_before_binding(
+        self, inputs, capsys, monkeypatch, slots
+    ):
+        _, out, _ = _index(inputs, capsys)
+
+        def no_bind(*args):
+            raise AssertionError("serve must not bind without a retrieval slot")
+
+        monkeypatch.setattr(cli_module, "serve_forever", no_bind)
+        code = main(["serve", "--index", str(out), "--max-concurrent", slots])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert "max_concurrent" in json.loads(err[0])["error"]
+
     def test_serve_missing_index_exits_2(self, tmp_path, capsys):
         code = main(["serve", "--index", str(tmp_path / "void")])
         captured = capsys.readouterr()
@@ -412,8 +462,18 @@ class TestEvalAndBench:
             ({"table_count": 30.5}, "table_count"),
             ({"seed": True}, "seed"),
             ([], "generator profile"),
+            ({"tables_per_query_stddev": float("nan")}, "tables_per_query_stddev"),
+            ({"tables_per_query_stddev": float("inf")}, "tables_per_query_stddev"),
         ],
-        ids=["typo", "string-count", "float-count", "boolean-seed", "not-an-object"],
+        ids=[
+            "typo",
+            "string-count",
+            "float-count",
+            "boolean-seed",
+            "not-an-object",
+            "nan-stddev",
+            "infinite-stddev",
+        ],
     )
     def test_invalid_profile_exits_2_naming_it(self, tmp_path, capsys, profile_doc, named):
         profile = tmp_path / "profile.json"

@@ -211,6 +211,17 @@ class TestPipelineConfig:
         assert config.schedule.steps == ((8, 16, 8),)
 
 
+    def test_ranking_h_is_rejected_and_not_written(self):
+        # Ranking takes h from the last schedule step, so a config's h is
+        # refused rather than silently ignored.
+        with pytest.raises(ValueError, match="h is set per schedule step"):
+            PipelineConfig.from_dict({"ranking": {"h": 2}})
+        config = PipelineConfig.from_dict({"ranking": {"weight_mode": "hyperedge_degree"}})
+        doc = config.to_dict()
+        assert "h" not in doc["ranking"]
+        assert PipelineConfig.from_dict(doc).ranking == config.ranking
+
+
 class TestDefaultSchedule:
     def test_three_non_increasing_steps(self):
         schedule = default_schedule(50)

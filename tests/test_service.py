@@ -357,6 +357,19 @@ class TestCliParity:
         assert cli_payload == service_payload
 
 
+@pytest.mark.parametrize("slots", [0, -1, True, 1.5, "8"])
+def test_max_concurrent_must_be_a_positive_integer(shop_catalog, small_config, slots):
+    with pytest.raises(ValueError, match="max_concurrent"):
+        RetrievalService(
+            catalog=shop_catalog,
+            chunk_index=build_chunk_index(SHOP_TRACE, shop_catalog, small_config),
+            graph=build_knowledge_graph(shop_catalog, small_config),
+            config=PipelineConfig(similarity=small_config),
+            schema_version=schema_version_of(shop_catalog),
+            max_concurrent=slots,
+        )
+
+
 class TestLoadShedding:
     def test_requests_beyond_the_queue_get_json_503(
         self, shop_catalog, small_config, monkeypatch

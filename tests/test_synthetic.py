@@ -1,4 +1,5 @@
 import json
+import math
 import statistics
 from dataclasses import asdict
 
@@ -32,6 +33,20 @@ class TestProfile:
             generate_synthetic(
                 GeneratorProfile(fk_median_target=12, columns_per_table_mean=10)
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "fk_median_target",
+            "tables_per_query_p_ge7",
+            "tables_per_query_stddev",
+            "columns_per_table_mean",
+        ],
+    )
+    def test_non_finite_targets_rejected(self, field, value):
+        with pytest.raises(ProfileError, match="finite"):
+            GeneratorProfile(**{field: value})
 
     def test_round_trips_dict(self):
         profile = GeneratorProfile(table_count=30, seed=4)
