@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -45,6 +46,16 @@ def from_document(cls, doc, name: str, **parsers):
         return cls(**{k: parsers[k](v) if k in parsers else v for k, v in doc.items()})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid {name}: {exc}") from exc
+
+
+def read_json(path: str | Path):
+    """The JSON document in the file at ``path``. Bytes that are not UTF-8
+    JSON text are a ``ValueError`` that starts with the path."""
+    raw = Path(path).read_bytes()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def is_int(value) -> bool:
@@ -77,11 +88,7 @@ class Table:
     foreign_keys: tuple[ForeignKey, ...] = ()
 
     def column_by_name(self, name: str) -> Column | None:
-        lowered = name.lower()
-        for col in self.columns:
-            if col.name.lower() == lowered:
-                return col
-        return None
+        return _find_column(self.columns, name)
 
 
 @dataclass(frozen=True)
@@ -140,15 +147,10 @@ def load_catalog(source: str | Path | dict) -> SchemaCatalog:
     documents always produce identical catalogs.
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
         try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CatalogError(f"cannot read schema document {path}: {exc}") from exc
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise CatalogError(f"{path}: not valid JSON: {exc}") from exc
+            doc = read_json(source)
+        except ValueError as exc:
+            raise CatalogError(str(exc)) from exc
     else:
         doc = source
 
@@ -252,7 +254,8 @@ def load_catalog(source: str | Path | dict) -> SchemaCatalog:
     return SchemaCatalog(tables=tables)
 
 
-def _find_column(columns: list[Column], name: str) -> Column | None:
+def _find_column(columns: Sequence[Column], name: str) -> Column | None:
+    """The column named ``name``, compared case-insensitively; None when absent."""
     lowered = name.lower()
     for col in columns:
         if col.name.lower() == lowered:

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .artifacts import ArtifactError, load_index, save_index
-from .catalog import CatalogError, from_document, load_catalog
+from .catalog import CatalogError, from_document, load_catalog, read_json
 from .contextual import build_chunk_index
 from .evaluation import (
     default_sweep_schedules,
@@ -101,18 +101,21 @@ def _load_config(path: str | None) -> PipelineConfig:
 
 
 def _prepare_inputs(args) -> tuple:
-    """Resolve (catalog, trace) from --schema/--trace files or --profile."""
-    if args.schema and args.trace:
-        catalog = load_catalog(args.schema)
-        trace = _load_trace(args.trace)
-        return catalog, trace
-    profile = GeneratorProfile()
-    if args.profile:
-        with open(args.profile, encoding="utf-8") as fh:
-            profile = GeneratorProfile.from_dict(json.load(fh))
-    if args.seed is not None:
-        profile = dataclasses.replace(profile, seed=args.seed)
-    return generate_synthetic(profile)
+    """Resolve (catalog, trace) from the --schema and --trace files, or
+    generate them from --profile and --seed."""
+    if args.schema is None and args.trace is None:
+        profile = GeneratorProfile()
+        if args.profile:
+            profile = GeneratorProfile.from_dict(read_json(args.profile))
+        if args.seed is not None:
+            profile = dataclasses.replace(profile, seed=args.seed)
+        return generate_synthetic(profile)
+    if None in (args.schema, args.trace) or (args.profile, args.seed) != (None, None):
+        raise ValueError(
+            "--schema and --trace must be given together, and without "
+            "--profile or --seed"
+        )
+    return load_catalog(args.schema), _load_trace(args.trace)
 
 
 def cmd_index(args) -> int:
@@ -164,8 +167,7 @@ def cmd_eval(args) -> int:
     config = _load_config(args.config)
     catalog, trace = _prepare_inputs(args)
     if args.schedules:
-        with open(args.schedules, encoding="utf-8") as fh:
-            docs = json.load(fh)
+        docs = read_json(args.schedules)
         if not isinstance(docs, list):
             raise ValueError("--schedules must be a JSON list of schedules")
         schedules = [IterationSchedule.from_dict(d) for d in docs]

@@ -16,12 +16,18 @@ between runs, and they are excluded from the canonical payload.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .catalog import SchemaCatalog, TableId, from_document, is_int, lookup_table
+from .catalog import (
+    SchemaCatalog,
+    TableId,
+    from_document,
+    is_int,
+    lookup_table,
+    read_json,
+)
 from .contextual import ChunkIndex, retrieve_contextual
 from .relational import RankingConfig, SemanticEntity, build_hypergraph, hypergraph_rank
 from .similarity import SimilarityConfig
@@ -151,8 +157,7 @@ class QueryRequest:
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    with open(path, encoding="utf-8") as fh:
-        return PipelineConfig.from_dict(json.load(fh))
+    return PipelineConfig.from_dict(read_json(path))
 
 
 @dataclass

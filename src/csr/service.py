@@ -19,13 +19,17 @@ a ``Content-Length`` that is not a non-negative integer is a 400 and one
 above ``MAX_BODY_BYTES`` a 413, both sent without reading the body, and a
 connection that stays silent for ``SOCKET_TIMEOUT_S`` (a body shorter than
 its header, say) is closed. Shutdown stops accepting connections and drains
-in-flight handlers.
+in-flight handlers. At most ``MAX_CONNECTIONS`` handler threads run at
+once; further connections wait in the listen backlog until one ends, and a
+client that hangs up before its reply costs one debug log line, not a
+traceback.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import sys
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -41,6 +45,9 @@ logger = logging.getLogger(__name__)
 MAX_BODY_BYTES = 1 << 20  # largest accepted request body
 SOCKET_TIMEOUT_S = 10.0  # longest wait for any read or write on a connection
 MAX_QUEUED = 32  # most requests that may wait for a free retrieval slot
+# Most handler threads at once: above the running plus queued retrievals
+# (8 + MAX_QUEUED by default), so a full queue still answers 503.
+MAX_CONNECTIONS = 64
 
 
 @dataclass
@@ -106,6 +113,39 @@ class RetrievalService:
         }
 
 
+class _BoundedServer(ThreadingHTTPServer):
+    """A threading HTTP server that runs at most ``MAX_CONNECTIONS`` handler
+    threads and joins them on close."""
+
+    daemon_threads = False
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address) -> None:
+        # The accept loop waits here for a free thread.
+        self._slots.acquire()
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
+
+    def handle_error(self, request, client_address) -> None:
+        exc = sys.exc_info()[1]
+        if isinstance(exc, ConnectionError):
+            logger.debug("client %s hung up: %s", client_address, exc)
+        else:
+            logger.exception("error handling request from %s", client_address)
+
+
 def make_server(service: RetrievalService, host: str, port: int) -> ThreadingHTTPServer:
     """Build (but do not start) the HTTP server bound to host:port."""
 
@@ -160,9 +200,7 @@ def make_server(service: RetrievalService, host: str, port: int) -> ThreadingHTT
                 return
             self._send(*service.retrieve(doc))
 
-    server = ThreadingHTTPServer((host, port), Handler)
-    server.daemon_threads = False  # join in-flight handlers on close
-    return server
+    return _BoundedServer((host, port), Handler)
 
 
 def serve_forever(service: RetrievalService, host: str, port: int) -> None:

@@ -14,8 +14,12 @@ corpus reproduces bit for bit; the tests use them as oracles.
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
 import re
+import urllib.error
+import urllib.request
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -23,7 +27,6 @@ from functools import lru_cache
 from itertools import chain
 
 import numpy as np
-import requests
 
 from .catalog import is_int
 
@@ -64,6 +67,13 @@ class SimilarityConfig:
             raise ValueError("bm25_k1 must be > 0")
         if not 0.0 <= self.bm25_b <= 1.0:
             raise ValueError("bm25_b must be in [0, 1]")
+        timeout = self.external_timeout
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0.0 < timeout < math.inf
+        ):
+            raise ValueError("external_timeout must be a finite number of seconds > 0")
 
 
 @dataclass
@@ -123,9 +133,7 @@ def embed(
     stats: CorpusStats | None = None,
 ) -> np.ndarray:
     """Embed one text into a unit-norm vector (zero vector for empty text)."""
-    if config.embedder == "external":
-        return embed_batch([text], config, stats)[0]
-    return hashed_vectors([token_counts(text)], config, stats)[0]
+    return embed_batch([text], config, stats)[0]
 
 
 def embed_batch(
@@ -202,24 +210,34 @@ def _external_embed(texts: list[str], config: SimilarityConfig) -> np.ndarray:
         raise EmbeddingProviderError(
             "external embedder selected but no endpoint configured", kind="rejection"
         )
+    endpoint = str(config.external_endpoint)
     try:
-        resp = requests.post(
-            config.external_endpoint,
-            json={"texts": texts},
-            timeout=config.external_timeout,
+        # urllib would also open file:// and ftp:// URLs.
+        if not endpoint.lower().startswith(("http://", "https://")):
+            raise ValueError(f"endpoint '{endpoint}' is not an http(s) URL")
+        # Built inside the try: a malformed URL fails here with ValueError.
+        request = urllib.request.Request(
+            endpoint,
+            data=json.dumps({"texts": texts}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
         )
-    except requests.RequestException as exc:
+        with urllib.request.urlopen(request, timeout=config.external_timeout) as resp:
+            status, body = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:  # urllib raises it for 4xx and 5xx
+        exc.close()
+        status, body = exc.code, b""
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise EmbeddingProviderError(
             f"embedding provider unreachable: {exc}", kind="transport"
         ) from exc
-    if resp.status_code != 200:
+    if status != 200:
         raise EmbeddingProviderError(
-            f"embedding provider rejected request: HTTP {resp.status_code}",
+            f"embedding provider rejected request: HTTP {status}",
             kind="rejection",
         )
     try:
         # numpy raises ValueError for ragged or non-numeric rows.
-        arr = np.asarray(resp.json()["vectors"], dtype=np.float64)
+        arr = np.asarray(json.loads(body)["vectors"], dtype=np.float64)
         count = len(arr)
     except (ValueError, KeyError, TypeError) as exc:
         raise EmbeddingProviderError(

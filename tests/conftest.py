@@ -1,6 +1,7 @@
 import hashlib
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -138,6 +139,7 @@ def small_config():
 
 # External embedder served in-process; 128 dimensions like small_config.
 DIMENSION = 128
+SLOW_PROVIDER_S = 0.5  # how long the stub's "slow" mode waits to answer
 
 
 def stub_vector(text: str, dimension: int) -> list[float]:
@@ -148,7 +150,10 @@ def stub_vector(text: str, dimension: int) -> list[float]:
 @pytest.fixture(scope="session")
 def stub_provider():
     """A local embedding provider answering with ``stub_vector``s; set
-    ``state["mode"]`` to make it misbehave, and back to "ok" after."""
+    ``state["mode"]`` to make it misbehave, and back to "ok" after. Modes:
+    "reject" (HTTP 500), "created" (HTTP 201), "slow" (answers after
+    ``SLOW_PROVIDER_S``), "not_json", "wrong_dim", "nan", "ragged", and
+    "short" (one vector too few)."""
     state = {"mode": "ok"}
 
     class Handler(BaseHTTPRequestHandler):
@@ -158,20 +163,27 @@ def stub_provider():
         def do_POST(self):
             length = int(self.headers.get("Content-Length", "0"))
             texts = json.loads(self.rfile.read(length))["texts"]
-            if state["mode"] == "reject":
+            mode = state["mode"]
+            if mode == "reject":
                 self.send_response(500)
                 self.send_header("Content-Length", "0")
                 self.send_header("Connection", "close")
                 self.end_headers()
                 return
-            dim = 16 if state["mode"] == "wrong_dim" else DIMENSION
+            if mode == "slow":
+                time.sleep(SLOW_PROVIDER_S)
+            dim = 16 if mode == "wrong_dim" else DIMENSION
             vectors = [stub_vector(t, dim) for t in texts]
-            if state["mode"] == "nan":
+            if mode == "nan":
                 vectors[-1][3] = float("nan")
-            if state["mode"] == "ragged":
+            if mode == "ragged":
                 vectors[-1].pop()
+            if mode == "short":
+                vectors.pop()
             body = json.dumps({"vectors": vectors}).encode()
-            self.send_response(200)
+            if mode == "not_json":
+                body = body[:-1]
+            self.send_response(201 if mode == "created" else 200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.send_header("Connection", "close")

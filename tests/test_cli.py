@@ -514,3 +514,66 @@ class TestEvalAndBench:
         captured = capsys.readouterr()
         assert code == 2
         assert named in json.loads(captured.err)["error"]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("content", ["{bad", ""], ids=["truncated", "empty"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("index", "--schema"),
+            ("index", "--config"),
+            ("eval", "--profile"),
+            ("eval", "--schedules"),
+        ],
+    )
+    def test_bad_json_file_error_starts_with_its_path(
+        self, inputs, capsys, command, flag, content
+    ):
+        schema, trace, tmp_path = inputs
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        files = {"--schema": str(schema), "--trace": str(trace)}
+        if flag == "--profile":
+            files = {}
+        files[flag] = str(bad)
+        out = tmp_path / ("idx" if command == "index" else "rows.csv")
+        argv = [command, *(x for item in files.items() for x in item)]
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert json.loads(err[0])["error"].startswith(f"{bad}: not valid JSON")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--schema"],
+            ["--trace"],
+            ["--schema", "--profile"],
+            ["--schema", "--trace", "--profile"],
+            ["--schema", "--trace", "--seed"],
+        ],
+        ids=["schema-alone", "trace-alone", "schema-profile", "with-profile", "with-seed"],
+    )
+    def test_schema_and_trace_go_together_without_generator_flags(
+        self, inputs, capsys, flags
+    ):
+        schema, trace, tmp_path = inputs
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"table_count": 12, "query_count": 32}))
+        values = {
+            "--schema": str(schema),
+            "--trace": str(trace),
+            "--profile": str(profile),
+            "--seed": "3",
+        }
+        out = tmp_path / "rows.csv"
+        argv = ["eval", *(x for flag in flags for x in (flag, values[flag]))]
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1
+        error = json.loads(err[0])["error"]
+        assert all(flag in error for flag in values)
+        assert not out.exists()

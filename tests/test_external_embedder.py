@@ -1,5 +1,10 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +89,43 @@ class TestExternalProvider:
         with pytest.raises(EmbeddingProviderError) as err:
             embed("x", config)
         assert err.value.kind == "rejection"
+
+    @pytest.mark.parametrize(
+        "mode,endpoint,kind",
+        [
+            ("slow", None, "transport"),
+            ("created", None, "rejection"),
+            ("not_json", None, "rejection"),
+            ("short", None, "rejection"),
+            ("ok", "127.0.0.1:9/embed", "transport"),
+            ("ok", "http://[::1", "transport"),
+            ("ok", "ftp://x/y", "transport"),
+            ("ok", "file:///etc/hostname", "transport"),
+        ],
+        ids=[
+            "timeout",
+            "status-201",
+            "not-json",
+            "one-vector-short",
+            "no-scheme",
+            "malformed-url",
+            "ftp-scheme",
+            "file-scheme",
+        ],
+    )
+    def test_failure_kind(self, stub_provider, mode, endpoint, kind):
+        stub_endpoint, state = stub_provider
+        config = external_config(endpoint or stub_endpoint)
+        if mode == "slow":
+            # The stub answers after SLOW_PROVIDER_S, well past this.
+            config = dataclasses.replace(config, external_timeout=0.1)
+        state["mode"] = mode
+        try:
+            with pytest.raises(EmbeddingProviderError) as err:
+                embed_batch(["alpha", "beta"], config)
+        finally:
+            state["mode"] = "ok"
+        assert err.value.kind == kind
 
     def test_index_build_and_retrieval_via_external(
         self, stub_provider, shop_catalog
@@ -184,3 +226,20 @@ class TestUnreachableProvider:
         assert not thread.is_alive()
         assert resp.status_code == 502
         assert resp.json()["kind"] == "transport"
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import csr.cli, sys; "
+        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

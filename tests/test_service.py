@@ -1,4 +1,5 @@
 import json
+import logging
 import socket
 import threading
 import time
@@ -15,7 +16,12 @@ from csr.contextual import build_chunk_index
 from csr.pipeline import PipelineConfig
 from csr import pipeline as pipeline_module
 from csr import service as service_module
-from csr.service import MAX_BODY_BYTES, RetrievalService, make_server
+from csr.service import (
+    MAX_BODY_BYTES,
+    SOCKET_TIMEOUT_S,
+    RetrievalService,
+    make_server,
+)
 from csr.structural import build_knowledge_graph
 
 from conftest import SHOP_TRACE
@@ -421,3 +427,70 @@ class TestLoadShedding:
             server.server_close()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+class TestConnectionBound:
+    def test_handler_threads_are_bounded(self, running_service, monkeypatch):
+        _, service = running_service
+        monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 2)
+        before = set(threading.enumerate())
+
+        def handlers():
+            return [
+                t
+                for t in threading.enumerate()
+                if t not in before and "process_request_thread" in t.name
+            ]
+
+        server = make_server(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        port = server.server_address[1]
+        idle = [socket.create_connection(("127.0.0.1", port)) for _ in range(4)]
+        try:
+            deadline = time.monotonic() + 5
+            while len(handlers()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.3)  # room for the accept loop to start more threads
+            assert len(handlers()) == 2
+            for sock in idle:
+                sock.close()
+            resp = requests.get(f"http://127.0.0.1:{port}/v1/health", timeout=5)
+            assert resp.status_code == 200
+        finally:
+            for sock in idle:
+                sock.close()
+            started = time.monotonic()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert time.monotonic() - started < SOCKET_TIMEOUT_S
+        assert not thread.is_alive()
+        assert not handlers()
+
+    @pytest.mark.parametrize(
+        "error,level",
+        [
+            (BrokenPipeError(32, "Broken pipe"), logging.DEBUG),
+            (KeyError("missing table id"), logging.ERROR),
+        ],
+        ids=["hang-up", "fault"],
+    )
+    def test_handler_errors_go_to_the_log_not_stderr(
+        self, running_service, capsys, caplog, error, level
+    ):
+        _, service = running_service
+        server = make_server(service, "127.0.0.1", 0)
+        try:
+            with caplog.at_level(logging.DEBUG, logger="csr.service"):
+                try:
+                    raise error
+                except type(error):
+                    server.handle_error(None, ("127.0.0.1", 50000))
+        finally:
+            server.server_close()
+        assert capsys.readouterr().err == ""
+        [record] = caplog.records
+        assert record.levelno == level
+        # Only a fault logs its traceback.
+        assert (record.exc_info is not None) == (level == logging.ERROR)

@@ -90,6 +90,9 @@ class TestEmbed:
             SimilarityConfig(bm25_b=1.5)
         with pytest.raises(ValueError):
             SimilarityConfig(metric="dot")
+        for timeout in ("x", None, True, 0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="external_timeout"):
+                SimilarityConfig(external_timeout=timeout)
 
 
 class TestCosine:
