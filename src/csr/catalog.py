@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 TableId = int
 ColumnId = int
@@ -61,6 +64,65 @@ def read_json(path: str | Path):
 def is_int(value) -> bool:
     """An integer that is not a boolean (JSON true/false load as bools)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# How a message names the JSON values of each scalar annotation: one, many.
+_JSON_NAMES = {
+    bool: ("a boolean", "booleans"),
+    int: ("an integer", "integers"),
+    float: ("a finite number", "finite numbers"),
+    str: ("a string", "strings"),
+}
+_COUNTS = {2: "two", 3: "three", 4: "four"}
+_type_hints = cache(get_type_hints)  # a class's annotations, resolved once
+
+
+def check_types(obj, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the first field of the dataclass ``obj`` whose
+    value is not a JSON value of the field's annotation: ``bool`` takes only
+    true and false, ``int`` an integer but not a boolean, ``float`` a finite
+    int or float, ``str`` a string; ``X | None`` also takes null,
+    ``tuple[X, ...]`` and ``list[X]`` a list or tuple of X, ``tuple[X, Y, Z]``
+    exactly those three, and a dataclass type an instance of it."""
+    hints = _type_hints(type(obj))
+    for f in fields(obj):
+        if not _accepts(hints[f.name], getattr(obj, f.name)):
+            raise error(f"{f.name} must be {_describe(hints[f.name])}")
+
+
+def _accepts(annotation, value) -> bool:
+    if annotation is int:
+        return is_int(value)
+    if annotation is float:  # an int too, if a float can hold it
+        number = is_int(value) or isinstance(value, float)
+        return number and abs(value) <= sys.float_info.max
+    args = get_args(annotation)
+    if get_origin(annotation) is Literal:
+        return isinstance(value, str) and value in args
+    if not args:  # bool, str or a dataclass
+        return isinstance(value, annotation)
+    if type(None) in args:  # X | None
+        return value is None or _accepts(args[0], value)
+    if not isinstance(value, (list, tuple)):
+        return False
+    if args[-1] is Ellipsis or get_origin(annotation) is list:
+        return all(_accepts(args[0], item) for item in value)
+    return len(value) == len(args) and all(map(_accepts, args, value))
+
+
+def _describe(annotation, many: bool = False) -> str:
+    """The values ``annotation`` accepts, in words (plural when ``many``);
+    a fixed-length tuple is named by its length and first item type."""
+    args = get_args(annotation)
+    if get_origin(annotation) is Literal:
+        return "one of " + ", ".join(map(repr, args))
+    if not args:
+        return _JSON_NAMES.get(annotation, (annotation.__name__,) * 2)[many]
+    if type(None) in args:
+        return f"{_describe(args[0], many)} or null"
+    fixed = args[-1] is not Ellipsis and get_origin(annotation) is tuple
+    count = f"{_COUNTS.get(len(args), len(args))} " if fixed else ""
+    return f"{'lists' if many else 'a list'} of {count}{_describe(args[0], True)}"
 
 
 @dataclass(frozen=True)
@@ -190,12 +252,15 @@ def load_catalog(source: str | Path | dict) -> SchemaCatalog:
                     f"{cloc}: duplicate column name '{cname}' in table '{name}'"
                 )
             seen_cols.add(cname.lower())
+            primary_key = cdoc.get("primary_key", False)
+            if not isinstance(primary_key, bool):
+                raise CatalogError(f"{cloc}: primary_key must be true or false")
             columns.append(
                 Column(
                     id=next_column_id,
                     name=cname,
                     description=str(cdoc.get("description") or ""),
-                    is_primary_key=bool(cdoc.get("primary_key", False)),
+                    is_primary_key=primary_key,
                 )
             )
             next_column_id += 1
@@ -298,6 +363,12 @@ def to_document(catalog: SchemaCatalog) -> dict:
 def lookup_table(catalog: SchemaCatalog, name: str) -> TableId | None:
     """Case-insensitive exact-name table lookup; None when absent."""
     return catalog.name_index.get(name.lower())
+
+
+def lookup_tables(catalog: SchemaCatalog, names) -> set[TableId]:
+    """The ids of the named tables; names not in the catalog are skipped."""
+    ids = (lookup_table(catalog, name) for name in names)
+    return {tid for tid in ids if tid is not None}
 
 
 def catalog_stats(catalog: SchemaCatalog) -> CatalogStats:

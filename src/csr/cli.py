@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .artifacts import ArtifactError, load_index, save_index
-from .catalog import CatalogError, from_document, load_catalog, read_json
+from .catalog import CatalogError, check_types, from_document, load_catalog, read_json
 from .contextual import build_chunk_index
 from .evaluation import (
     default_sweep_schedules,
@@ -61,15 +61,10 @@ class TraceEntry:
     tables: list[str] | None = None
 
     def __post_init__(self) -> None:
+        check_types(self)
         for name in ("question", "sql"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value.strip():
+            if not getattr(self, name).strip():
                 raise ValueError(f"{name} must be a nonempty string")
-        tables = self.tables
-        if tables is not None and not (
-            isinstance(tables, list) and all(isinstance(t, str) for t in tables)
-        ):
-            raise ValueError("tables must be a list of table names")
 
 
 def _load_trace(path: str | Path) -> list[dict]:
@@ -139,13 +134,8 @@ def cmd_index(args) -> int:
 
 def _parse_schedule_flag(text: str) -> IterationSchedule:
     """Parse ``k,l,h;k,l,h;...`` into a schedule."""
-    steps = []
-    for part in text.split(";"):
-        nums = [int(x) for x in part.split(",")]
-        if len(nums) != 3:
-            raise ValueError(f"schedule step '{part}' must be k,l,h")
-        steps.append(tuple(nums))
-    return IterationSchedule(steps=tuple(steps))
+    steps = [[int(x) for x in part.split(",")] for part in text.split(";")]
+    return IterationSchedule(steps)
 
 
 def cmd_query(args) -> int:
@@ -245,24 +235,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-entities", type=int)
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("eval", help="sweep schedules and write a results CSV")
-    p.add_argument("--schema")
-    p.add_argument("--trace")
-    p.add_argument("--profile", help="generator profile JSON (synthetic inputs)")
-    p.add_argument("--seed", type=int, help="override generator seed")
-    p.add_argument("--config", help="pipeline config (JSON)")
+    # The input flags of eval and bench.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--schema")
+    inputs.add_argument("--trace")
+    inputs.add_argument("--profile", help="generator profile JSON (synthetic inputs)")
+    inputs.add_argument("--seed", type=int, help="override generator seed")
+    inputs.add_argument("--config", help="pipeline config (JSON)")
+
+    p = sub.add_parser(
+        "eval", parents=[inputs], help="sweep schedules and write a results CSV"
+    )
     p.add_argument("--schedules", help="JSON list of schedules to sweep")
     p.add_argument("--hold-out-every", type=int, default=4)
     p.add_argument("--group", default="default", help="group label for the CSV")
     p.add_argument("--out", required=True, help="results CSV path")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="measure end-to-end retrieval latency")
-    p.add_argument("--schema")
-    p.add_argument("--trace")
-    p.add_argument("--profile", help="generator profile JSON (synthetic inputs)")
-    p.add_argument("--seed", type=int, help="override generator seed")
-    p.add_argument("--config", help="pipeline config (JSON)")
+    p = sub.add_parser(
+        "bench", parents=[inputs], help="measure end-to-end retrieval latency"
+    )
     p.add_argument("--repetitions", type=int, default=200)
     p.add_argument("--out", help="latency report JSON path")
     p.set_defaults(func=cmd_bench)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import SchemaCatalog, TableId, lookup_table
+from .catalog import SchemaCatalog, TableId, lookup_tables
 from .similarity import (
     Corpus,
     SimilarityConfig,
@@ -106,7 +106,9 @@ def build_chunk_index(
     for entry in trace:
         relevant = extract_relevant_set(entry["sql"], catalog)
         if entry.get("tables") is not None:
-            relevant = _apply_table_override(relevant, entry["tables"], catalog)
+            tables = lookup_tables(catalog, entry["tables"])
+            columns = {(t, c) for t, c in relevant.columns if t in tables}
+            relevant = RelevantSet(tables=tables, columns=columns)
         labelled.append((entry["question"], entry["sql"], relevant))
     return index_labelled_chunks(labelled, catalog, config)
 
@@ -143,18 +145,6 @@ def index_labelled_chunks(
     if vectors is None and config.embedder == "external":
         vectors = embed_batch(texts, config, stats)
     return ChunkIndex(chunks=chunks, corpus=Corpus(counts, config, stats, vectors))
-
-
-def _apply_table_override(
-    relevant: RelevantSet, table_names: list[str], catalog: SchemaCatalog
-) -> RelevantSet:
-    tables: set[TableId] = set()
-    for name in table_names:
-        tid = lookup_table(catalog, name)
-        if tid is not None:
-            tables.add(tid)
-    columns = {(t, c) for (t, c) in relevant.columns if t in tables}
-    return RelevantSet(tables=tables, columns=columns)
 
 
 def retrieve_contextual(

@@ -19,13 +19,14 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Literal
 
 from .catalog import (
     SchemaCatalog,
     TableId,
+    check_types,
     from_document,
-    is_int,
-    lookup_table,
+    lookup_tables,
     read_json,
 )
 from .contextual import ChunkIndex, retrieve_contextual
@@ -50,31 +51,24 @@ class ScopeCollapsedError(RuntimeError):
 @dataclass(frozen=True)
 class IterationSchedule:
     steps: tuple[tuple[int, int, int], ...]  # (k, l, h) per iteration
-    scope_combine: str = "union"  # union | intersection
+    scope_combine: Literal["union", "intersection"] = "union"
 
     def __post_init__(self) -> None:
+        check_types(self)
+        # A document's lists become tuples, so equal schedules compare equal.
+        object.__setattr__(self, "steps", tuple(map(tuple, self.steps)))
         if not self.steps:
             raise ValueError("schedule needs at least one step")
-        if self.scope_combine not in ("union", "intersection"):
-            raise ValueError(f"unknown scope_combine '{self.scope_combine}'")
-        for step in self.steps:
-            if len(step) != 3 or not all(is_int(v) for v in step):
-                raise ValueError(f"schedule step {list(step)} must be three integers k,l,h")
-        for k, l, h in self.steps:
-            if k < 1 or l < 1 or h < 1:
-                raise ValueError("schedule parameters must be >= 1")
-        ks = [s[0] for s in self.steps]
-        ls = [s[1] for s in self.steps]
-        if any(later > earlier for later, earlier in zip(ks[1:], ks)):
-            raise ValueError("k values must be non-increasing across steps")
-        if any(later > earlier for later, earlier in zip(ls[1:], ls)):
-            raise ValueError("l values must be non-increasing across steps")
+        if min(map(min, self.steps)) < 1:
+            raise ValueError("schedule parameters must be >= 1")
+        for i, name in enumerate("kl"):
+            values = [step[i] for step in self.steps]
+            if any(later > earlier for later, earlier in zip(values[1:], values)):
+                raise ValueError(f"{name} values must be non-increasing across steps")
 
     @staticmethod
     def from_dict(doc) -> "IterationSchedule":
-        return from_document(
-            IterationSchedule, doc, "schedule", steps=lambda s: tuple(map(tuple, s))
-        )
+        return from_document(IterationSchedule, doc, "schedule")
 
     def to_dict(self) -> dict:
         return {
@@ -88,16 +82,12 @@ class PipelineConfig:
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
     ranking: RankingConfig = field(default_factory=RankingConfig)
     schedule: IterationSchedule | None = None
-    contextual_scope_mode: str = "intersect"  # intersect | filter_chunks
+    contextual_scope_mode: Literal["intersect", "filter_chunks"] = "intersect"
     unavailable_tables: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        mode, names = self.contextual_scope_mode, self.unavailable_tables
-        if mode not in ("intersect", "filter_chunks"):
-            raise ValueError(f"unknown contextual_scope_mode '{mode}'")
-        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
-            raise ValueError("unavailable_tables must be a list of table names")
-        self.unavailable_tables = tuple(names)
+        check_types(self)
+        self.unavailable_tables = tuple(self.unavailable_tables)
 
     @staticmethod
     def from_dict(doc) -> "PipelineConfig":
@@ -143,11 +133,11 @@ class QueryRequest:
     include_timings: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.question, str) or not self.question.strip():
+        check_types(self)
+        if not self.question.strip():
             raise ValueError("question must be a nonempty string")
-        limit = self.max_entities
-        if limit is not None and not (is_int(limit) and limit >= 1):
-            raise ValueError("max_entities must be a positive integer")
+        if self.max_entities is not None and self.max_entities < 1:
+            raise ValueError("max_entities must be >= 1")
 
     @staticmethod
     def from_dict(doc) -> "QueryRequest":
@@ -185,7 +175,7 @@ def run_pipeline(
     config: PipelineConfig,
 ) -> RetrievalOutput:
     """Run the full iterative retrieval for one question."""
-    unavailable = _resolve_unavailable(config.unavailable_tables, catalog)
+    unavailable = lookup_tables(catalog, config.unavailable_tables)
     timings = {"contextual": 0, "structural": 0, "relational": 0}
     per_stage: list[StageTrace] = []
     scope: set[TableId] | None = None
@@ -238,17 +228,6 @@ def run_pipeline(
         per_stage=per_stage,
         timings=timings,
     )
-
-
-def _resolve_unavailable(
-    names: tuple[str, ...], catalog: SchemaCatalog
-) -> frozenset[TableId]:
-    ids = set()
-    for name in names:
-        tid = lookup_table(catalog, name)
-        if tid is not None:
-            ids.add(tid)
-    return frozenset(ids)
 
 
 def default_schedule(catalog_size: int) -> IterationSchedule:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
-from .catalog import Column, ColumnId, SchemaCatalog, Table, TableId, is_int
+from .catalog import Column, ColumnId, SchemaCatalog, Table, TableId, check_types
 from .similarity import (
     Corpus,
     SimilarityConfig,
@@ -36,16 +37,13 @@ ENTITY_DESC_SEPARATOR = " — "
 @dataclass(frozen=True)
 class RankingConfig:
     h: int = 16
-    operator: str = "concat_names"  # concat_names | concat_with_descriptions
-    weight_mode: str = "uniform"  # uniform | hyperedge_degree
+    operator: Literal["concat_names", "concat_with_descriptions"] = "concat_names"
+    weight_mode: Literal["uniform", "hyperedge_degree"] = "uniform"
 
     def __post_init__(self) -> None:
-        if not is_int(self.h) or self.h < 1:
-            raise ValueError("h must be an integer >= 1")
-        if self.operator not in ("concat_names", "concat_with_descriptions"):
-            raise ValueError(f"unknown operator '{self.operator}'")
-        if self.weight_mode not in ("uniform", "hyperedge_degree"):
-            raise ValueError(f"unknown weight_mode '{self.weight_mode}'")
+        check_types(self)
+        if self.h < 1:
+            raise ValueError("h must be >= 1")
 
 
 @dataclass(frozen=True)

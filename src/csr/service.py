@@ -19,10 +19,10 @@ a ``Content-Length`` that is not a non-negative integer is a 400 and one
 above ``MAX_BODY_BYTES`` a 413, both sent without reading the body, and a
 connection that stays silent for ``SOCKET_TIMEOUT_S`` (a body shorter than
 its header, say) is closed. Shutdown stops accepting connections and drains
-in-flight handlers. At most ``MAX_CONNECTIONS`` handler threads run at
-once; further connections wait in the listen backlog until one ends, and a
-client that hangs up before its reply costs one debug log line, not a
-traceback.
+in-flight handlers. At most one handler thread more than the running plus
+queued retrievals runs at once, so a full queue still answers 503; further
+connections wait in the listen backlog, and a client that hangs up before
+its reply costs one debug log line, not a traceback.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ logger = logging.getLogger(__name__)
 MAX_BODY_BYTES = 1 << 20  # largest accepted request body
 SOCKET_TIMEOUT_S = 10.0  # longest wait for any read or write on a connection
 MAX_QUEUED = 32  # most requests that may wait for a free retrieval slot
-# Most handler threads at once: above the running plus queued retrievals
-# (8 + MAX_QUEUED by default), so a full queue still answers 503.
-MAX_CONNECTIONS = 64
 
 
 @dataclass
@@ -114,14 +111,14 @@ class RetrievalService:
 
 
 class _BoundedServer(ThreadingHTTPServer):
-    """A threading HTTP server that runs at most ``MAX_CONNECTIONS`` handler
-    threads and joins them on close."""
+    """A threading HTTP server that runs at most ``threads`` handler threads
+    and joins them on close."""
 
     daemon_threads = False
 
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+    def __init__(self, address, handler, threads: int) -> None:
+        super().__init__(address, handler)
+        self._slots = threading.BoundedSemaphore(threads)
 
     def process_request(self, request, client_address) -> None:
         # The accept loop waits here for a free thread.
@@ -200,7 +197,9 @@ def make_server(service: RetrievalService, host: str, port: int) -> ThreadingHTT
                 return
             self._send(*service.retrieve(doc))
 
-    return _BoundedServer((host, port), Handler)
+    # Every admitted retrieval may hold a thread; the spare one answers 503.
+    threads = service.max_concurrent + MAX_QUEUED + 1
+    return _BoundedServer((host, port), Handler, threads)
 
 
 def serve_forever(service: RetrievalService, host: str, port: int) -> None:

@@ -25,10 +25,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
+from typing import Literal
 
 import numpy as np
 
-from .catalog import is_int
+from .catalog import check_types
 
 _TOKEN = re.compile(r"[0-9a-z]+")
 
@@ -48,8 +49,8 @@ class EmbeddingProviderError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimilarityConfig:
-    metric: str = "cosine"  # cosine | bm25
-    embedder: str = "hashed_tfidf"  # hashed_tfidf | external
+    metric: Literal["cosine", "bm25"] = "cosine"
+    embedder: Literal["hashed_tfidf", "external"] = "hashed_tfidf"
     dimension: int = 1024
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
@@ -57,23 +58,18 @@ class SimilarityConfig:
     external_timeout: float = 0.5  # seconds
 
     def __post_init__(self) -> None:
-        if self.metric not in ("cosine", "bm25"):
-            raise ValueError(f"unknown metric '{self.metric}'")
-        if self.embedder not in ("hashed_tfidf", "external"):
-            raise ValueError(f"unknown embedder '{self.embedder}'")
-        if not is_int(self.dimension) or self.dimension < 64:
-            raise ValueError("dimension must be an integer >= 64")
+        check_types(self)
+        # BM25 reads no vectors: the provider would be sent every text for nothing.
+        if self.metric == "bm25" and self.embedder == "external":
+            raise ValueError("embedder must be hashed_tfidf with metric bm25")
+        if self.dimension < 64:
+            raise ValueError("dimension must be >= 64")
         if self.bm25_k1 <= 0:
             raise ValueError("bm25_k1 must be > 0")
         if not 0.0 <= self.bm25_b <= 1.0:
             raise ValueError("bm25_b must be in [0, 1]")
-        timeout = self.external_timeout
-        if (
-            isinstance(timeout, bool)
-            or not isinstance(timeout, (int, float))
-            or not 0.0 < timeout < math.inf
-        ):
-            raise ValueError("external_timeout must be a finite number of seconds > 0")
+        if self.external_timeout <= 0:
+            raise ValueError("external_timeout must be > 0 seconds")
 
 
 @dataclass

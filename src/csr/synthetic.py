@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .catalog import SchemaCatalog, from_document, is_int, load_catalog
+from .catalog import SchemaCatalog, check_types, from_document, load_catalog
 
 DEFAULT_SEED = 94010
 
@@ -41,27 +41,9 @@ class GeneratorProfile:
     variants_per_group: int = 4
 
     def __post_init__(self) -> None:
-        counts = (self.table_count, self.query_count, self.variants_per_group)
-        if not all(is_int(v) for v in (*counts, self.seed)):
-            raise ProfileError(
-                "table_count, seed, query_count and variants_per_group must be integers"
-            )
-        if min(counts) < 1:
+        check_types(self, ProfileError)
+        if min(self.table_count, self.query_count, self.variants_per_group) < 1:
             raise ProfileError("counts must be >= 1")
-        targets = (
-            self.fk_median_target,
-            self.tables_per_query_p_ge7,
-            self.tables_per_query_stddev,
-            self.columns_per_table_mean,
-        )
-        if not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in targets
-        ):
-            raise ProfileError(
-                "fk_median_target, tables_per_query_p_ge7, tables_per_query_stddev "
-                "and columns_per_table_mean must be finite numbers"
-            )
         if not 0.0 <= self.tables_per_query_p_ge7 <= 1.0:
             raise ProfileError("tables_per_query_p_ge7 must be in [0, 1]")
         if self.fk_median_target < 0 or self.tables_per_query_stddev <= 0:
@@ -188,15 +170,7 @@ def _catalog_document(
             if not candidates:
                 break
             weights = [1 + indegree[t] for t in candidates]
-            total = sum(weights)
-            r = rng.random() * total
-            acc = 0.0
-            picked = candidates[-1]
-            for t, w in zip(candidates, weights):
-                acc += w
-                if r < acc:
-                    picked = t
-                    break
+            picked = rng.choices(candidates, weights)[0]
             chosen.append(picked)
             indegree[picked] += 1
         fk_targets.append(chosen)
@@ -227,10 +201,9 @@ def _catalog_document(
                     "ref_column": f"{target_name}_id",
                 }
             )
-        attr_pool = ATTRIBUTE_WORDS[:]
         n_attrs = attr_counts[i]
-        attr_names = rng.sample(attr_pool, min(n_attrs, len(attr_pool)))
-        for extra in range(len(attr_pool), n_attrs):
+        attr_names = rng.sample(ATTRIBUTE_WORDS, min(n_attrs, len(ATTRIBUTE_WORDS)))
+        for extra in range(len(ATTRIBUTE_WORDS), n_attrs):
             attr_names.append(f"field_{extra}")
         for attr in attr_names:
             columns.append(

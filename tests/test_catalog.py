@@ -66,6 +66,13 @@ def test_table_without_columns_rejected():
         load_catalog({"tables": [{"name": "empty", "columns": []}]})
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, []])
+def test_primary_key_must_be_a_boolean(flag):
+    doc = {"tables": [{"name": "t", "columns": [{"name": "a", "primary_key": flag}]}]}
+    with pytest.raises(CatalogError, match=r"tables\[0\]\.columns\[0\]: primary_key"):
+        load_catalog(doc)
+
+
 def test_self_loop_fk_rejected():
     doc = {
         "tables": [

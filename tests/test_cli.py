@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -38,6 +39,17 @@ class TestIndex:
             "chunks.json",
             "manifest.json",
         ]
+
+    def test_string_primary_key_exits_2_naming_the_column(self, inputs, capsys):
+        schema = inputs[0]
+        doc = copy.deepcopy(SHOP_DOCUMENT)
+        doc["tables"][1]["columns"][2]["primary_key"] = "false"
+        schema.write_text(json.dumps(doc))
+        code, out, captured = _index(inputs, capsys)
+        assert code == 2
+        error = json.loads(captured.err)["error"]
+        assert "tables[1].columns[2]: primary_key" in error
+        assert not out.exists()
 
     def test_missing_schema_exits_2_with_path(self, inputs, capsys):
         _, trace, tmp_path = inputs
@@ -157,6 +169,14 @@ class TestIndex:
             ({"ranking": {"h": 2.5}}, "ranking"),
             ({"ranking": {"h": 2}}, "h is set per schedule step"),
             ([], "pipeline config"),
+            ({"similarity": {"bm25_k1": float("nan")}}, "bm25_k1"),
+            ({"similarity": {"bm25_k1": float("inf")}}, "bm25_k1"),
+            ({"similarity": {"bm25_b": True}}, "bm25_b"),
+            ({"similarity": {"external_endpoint": 5}}, "external_endpoint"),
+            (
+                {"similarity": {"metric": "bm25", "embedder": "external"}},
+                "embedder must be hashed_tfidf",
+            ),
         ],
         ids=[
             "top-level-typo",
@@ -168,6 +188,11 @@ class TestIndex:
             "float-h",
             "ranking-h",
             "not-an-object",
+            "nan-k1",
+            "infinite-k1",
+            "boolean-b",
+            "numeric-endpoint",
+            "bm25-external",
         ],
     )
     def test_invalid_config_exits_2_naming_it(self, inputs, capsys, config_doc, named):

@@ -4,6 +4,7 @@ import socket
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 
 import pytest
 import requests
@@ -178,6 +179,17 @@ class TestEndpoints:
         )
         assert resp.status_code == 200
         assert len(resp.json()["entities"]) <= 2
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_non_boolean_include_timings_is_400(self, running_service, value):
+        base, _ = running_service
+        resp = requests.post(
+            base + "/v1/retrieve",
+            json={"question": "customer orders", "include_timings": value},
+            timeout=5,
+        )
+        assert resp.status_code == 400
+        assert "include_timings must be a boolean" in resp.json()["error"]
 
     def test_timings_opt_in(self, running_service):
         base, _ = running_service
@@ -363,52 +375,71 @@ class TestCliParity:
         assert cli_payload == service_payload
 
 
+def _service(shop_catalog, small_config, max_concurrent=8) -> RetrievalService:
+    return RetrievalService(
+        catalog=shop_catalog,
+        chunk_index=build_chunk_index(SHOP_TRACE, shop_catalog, small_config),
+        graph=build_knowledge_graph(shop_catalog, small_config),
+        config=PipelineConfig(similarity=small_config),
+        schema_version=schema_version_of(shop_catalog),
+        max_concurrent=max_concurrent,
+    )
+
+
+@contextmanager
+def _serving(service):
+    """Serve ``service`` on a free loopback port; yield the server, then shut
+    it down and check that its thread ended."""
+    server = make_server(service, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.fixture()
+def release(monkeypatch):
+    """Every retrieval waits in the pipeline until this event is set."""
+    event = threading.Event()
+    run_pipeline = pipeline_module.run_pipeline
+
+    def blocking_run_pipeline(*args):
+        event.wait(timeout=30)
+        return run_pipeline(*args)
+
+    monkeypatch.setattr(pipeline_module, "run_pipeline", blocking_run_pipeline)
+    yield event
+    event.set()
+
+
 @pytest.mark.parametrize("slots", [0, -1, True, 1.5, "8"])
 def test_max_concurrent_must_be_a_positive_integer(shop_catalog, small_config, slots):
     with pytest.raises(ValueError, match="max_concurrent"):
-        RetrievalService(
-            catalog=shop_catalog,
-            chunk_index=build_chunk_index(SHOP_TRACE, shop_catalog, small_config),
-            graph=build_knowledge_graph(shop_catalog, small_config),
-            config=PipelineConfig(similarity=small_config),
-            schema_version=schema_version_of(shop_catalog),
-            max_concurrent=slots,
-        )
+        _service(shop_catalog, small_config, max_concurrent=slots)
 
 
 class TestLoadShedding:
     def test_requests_beyond_the_queue_get_json_503(
-        self, shop_catalog, small_config, monkeypatch
+        self, shop_catalog, small_config, monkeypatch, release
     ):
         # One retrieval slot and two queue places: of four concurrent
         # clients, three are admitted and block in the pipeline, and the
         # fourth is turned away at once.
         monkeypatch.setattr(service_module, "MAX_QUEUED", 2)
-        release = threading.Event()
-        run_pipeline = pipeline_module.run_pipeline
+        service = _service(shop_catalog, small_config, max_concurrent=1)
+        with _serving(service) as server:
+            url = f"http://127.0.0.1:{server.server_address[1]}/v1/retrieve"
 
-        def blocking_run_pipeline(*args):
-            release.wait(timeout=30)
-            return run_pipeline(*args)
+            def post(_):
+                return requests.post(
+                    url, json={"question": "customer orders"}, timeout=30
+                )
 
-        monkeypatch.setattr(pipeline_module, "run_pipeline", blocking_run_pipeline)
-        service = RetrievalService(
-            catalog=shop_catalog,
-            chunk_index=build_chunk_index(SHOP_TRACE, shop_catalog, small_config),
-            graph=build_knowledge_graph(shop_catalog, small_config),
-            config=PipelineConfig(similarity=small_config),
-            schema_version=schema_version_of(shop_catalog),
-            max_concurrent=1,
-        )
-        server = make_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever)
-        thread.start()
-        url = f"http://127.0.0.1:{server.server_address[1]}/v1/retrieve"
-
-        def post(_):
-            return requests.post(url, json={"question": "customer orders"}, timeout=30)
-
-        try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [pool.submit(post, i) for i in range(4)]
                 done, _ = wait(futures, timeout=20, return_when=FIRST_COMPLETED)
@@ -421,18 +452,37 @@ class TestLoadShedding:
                 statuses = sorted(f.result().status_code for f in futures)
             assert statuses == [200, 200, 200, 503]
             assert post(None).status_code == 200
-        finally:
-            release.set()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("max_concurrent", [1, 64])
+    def test_a_full_queue_leaves_a_thread_for_the_503(
+        self, shop_catalog, small_config, monkeypatch, release, max_concurrent
+    ):
+        # Every admitted request holds a handler thread while it runs or
+        # waits; one more client must still get its 503 at once. A fixed cap
+        # of 64 threads left none from 64 admitted requests on.
+        monkeypatch.setattr(service_module, "MAX_QUEUED", 1)
+        admitted = max_concurrent + 1
+        service = _service(shop_catalog, small_config, max_concurrent)
+        with _serving(service) as server:
+            url = f"http://127.0.0.1:{server.server_address[1]}/v1/retrieve"
+
+            def post(_):
+                return requests.post(url, json={"question": "orders"}, timeout=30)
+
+            with ThreadPoolExecutor(max_workers=admitted + 1) as pool:
+                futures = [pool.submit(post, i) for i in range(admitted + 1)]
+                done, _ = wait(futures, timeout=20, return_when=FIRST_COMPLETED)
+                release.set()
+                assert [f.result().status_code for f in done] == [503]
+                statuses = sorted(f.result().status_code for f in futures)
+            assert statuses == [200] * admitted + [503]
 
 
 class TestConnectionBound:
-    def test_handler_threads_are_bounded(self, running_service, monkeypatch):
-        _, service = running_service
-        monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 2)
+    def test_handler_threads_are_bounded(self, shop_catalog, small_config, monkeypatch):
+        # One retrieval slot and no queue: at most two handler threads.
+        monkeypatch.setattr(service_module, "MAX_QUEUED", 0)
+        service = _service(shop_catalog, small_config, max_concurrent=1)
         before = set(threading.enumerate())
 
         def handlers():
@@ -442,30 +492,24 @@ class TestConnectionBound:
                 if t not in before and "process_request_thread" in t.name
             ]
 
-        server = make_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever)
-        thread.start()
-        port = server.server_address[1]
-        idle = [socket.create_connection(("127.0.0.1", port)) for _ in range(4)]
-        try:
-            deadline = time.monotonic() + 5
-            while len(handlers()) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            time.sleep(0.3)  # room for the accept loop to start more threads
-            assert len(handlers()) == 2
-            for sock in idle:
-                sock.close()
-            resp = requests.get(f"http://127.0.0.1:{port}/v1/health", timeout=5)
-            assert resp.status_code == 200
-        finally:
-            for sock in idle:
-                sock.close()
-            started = time.monotonic()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
+        with _serving(service) as server:
+            port = server.server_address[1]
+            idle = [socket.create_connection(("127.0.0.1", port)) for _ in range(4)]
+            try:
+                deadline = time.monotonic() + 5
+                while len(handlers()) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.3)  # room for the accept loop to start more threads
+                assert len(handlers()) == 2
+                for sock in idle:
+                    sock.close()
+                resp = requests.get(f"http://127.0.0.1:{port}/v1/health", timeout=5)
+                assert resp.status_code == 200
+            finally:
+                for sock in idle:
+                    sock.close()
+                started = time.monotonic()
         assert time.monotonic() - started < SOCKET_TIMEOUT_S
-        assert not thread.is_alive()
         assert not handlers()
 
     @pytest.mark.parametrize(

@@ -94,6 +94,12 @@ class TestEmbed:
             with pytest.raises(ValueError, match="external_timeout"):
                 SimilarityConfig(external_timeout=timeout)
 
+    def test_bm25_takes_no_external_embedder(self):
+        # BM25 reads no vectors, so the provider would be called for nothing.
+        with pytest.raises(ValueError, match="embedder must be hashed_tfidf"):
+            SimilarityConfig(metric="bm25", embedder="external")
+        assert SimilarityConfig(metric="bm25").embedder == "hashed_tfidf"
+
 
 class TestCosine:
     def test_self_similarity_is_one(self):
