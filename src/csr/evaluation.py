@@ -23,10 +23,15 @@ from .pipeline import (
     PipelineConfig,
     RetrievalOutput,
     ScopeCollapsedError,
+    narrow,
     run_pipeline,
 )
 from .sqlrefs import extract_relevant_set
 from .structural import KnowledgeGraph, build_knowledge_graph
+
+
+# Questions run once before the latency bench starts its clock.
+WARMUP_QUERIES = 3
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,9 @@ def run_sweep(
     hold_out_every: int = 4,
 ) -> list[SweepRow]:
     """Per-iteration precision/recall for every schedule, averaged over the
-    held-out questions. A collapsed scope counts as an empty prediction for
-    the remaining iterations instead of aborting the sweep.
+    held-out questions. Only the narrowing runs: the scores read the scopes,
+    never the ranked join candidates. A collapsed scope counts as an empty
+    prediction for the remaining iterations instead of aborting the sweep.
     """
     build, held = split_trace(trace, hold_out_every)
     chunk_index = build_chunk_index(build, catalog, config.similarity)
@@ -109,16 +115,20 @@ def run_sweep(
         extract_relevant_set(entry["sql"], catalog).tables for entry in held
     ]
 
+    mode = config.contextual_scope_mode
     rows: list[SweepRow] = []
     for schedule_id, schedule in enumerate(schedules):
         n_steps = len(schedule.steps)
         sums = [[0.0, 0.0] for _ in range(n_steps)]
         for entry, truth in zip(held, truths):
-            scopes = _per_iteration_scopes(
-                entry["question"], chunk_index, graph, catalog, schedule, config
-            )
-            for it in range(n_steps):
-                m = precision_recall(scopes[it], truth)
+            try:
+                traces = narrow(entry["question"], chunk_index, graph, schedule, mode)
+            except ScopeCollapsedError as exc:
+                traces = exc.per_stage
+            scopes = [t.scope for t in traces]
+            scopes += [set()] * (n_steps - len(scopes))
+            for it, scope in enumerate(scopes):
+                m = precision_recall(scope, truth)
                 sums[it][0] += m.precision
                 sums[it][1] += m.recall
         for it, (k, l, h) in enumerate(schedule.steps):
@@ -135,25 +145,6 @@ def run_sweep(
                 )
             )
     return rows
-
-
-def _per_iteration_scopes(
-    question: str,
-    chunk_index: ChunkIndex,
-    graph: KnowledgeGraph,
-    catalog: SchemaCatalog,
-    schedule: IterationSchedule,
-    config: PipelineConfig,
-) -> list[set[int]]:
-    try:
-        output = run_pipeline(question, chunk_index, graph, catalog, schedule, config)
-        traces = output.per_stage
-    except ScopeCollapsedError as exc:
-        traces = exc.per_stage
-    scopes = [t.scope for t in traces]
-    while len(scopes) < len(schedule.steps):
-        scopes.append(set())
-    return scopes
 
 
 def write_sweep_csv(
@@ -187,7 +178,6 @@ def latency_bench(
     config: PipelineConfig,
     questions: list[str],
     repetitions: int = 200,
-    warmup: int = 3,
 ) -> LatencyReport:
     """End-to-end per-query timings, one query at a time.
 
@@ -199,7 +189,7 @@ def latency_bench(
     if not questions:
         raise ValueError("latency bench needs at least one question")
 
-    for q in questions[:warmup]:
+    for q in questions[:WARMUP_QUERIES]:
         _safe_run(q, chunk_index, graph, catalog, schedule, config)
 
     samples_ms: list[float] = []

@@ -3,10 +3,10 @@
 Each iteration runs the contextual retriever, then the structural one, both
 restricted to the previous iteration's table scope, and combines their
 table sets. Parameters shrink across iterations, so the scope chain is
-non-increasing. After the last iteration the relational ranker builds a
-hypergraph over the final scope and emits the top table.column join
-candidates. ``answer`` turns one ``QueryRequest`` into its response payload;
-``csr query`` and ``POST /v1/retrieve`` both go through it.
+non-increasing; ``narrow`` runs this loop. ``run_pipeline`` then has the
+relational ranker build a hypergraph over the final scope and emit the top
+table.column join candidates. ``answer`` turns one ``QueryRequest`` into its
+response payload; ``csr query`` and ``POST /v1/retrieve`` both go through it.
 
 Everything runs on the calling thread: the stages are pure Python, so a
 thread pool would only contend for the interpreter lock. Outputs are
@@ -156,6 +156,9 @@ class StageTrace:
     contextual_tables: set[TableId]
     structural_tables: set[TableId]
     scope: set[TableId]
+    # Wall-clock microseconds: traces compare equal on their tables alone.
+    contextual_us: int = field(compare=False)
+    structural_us: int = field(compare=False)
 
 
 @dataclass
@@ -166,6 +169,33 @@ class RetrievalOutput:
     timings: dict[str, int]  # stage -> microseconds
 
 
+def narrow(
+    question: str,
+    chunk_index: ChunkIndex,
+    graph: KnowledgeGraph,
+    schedule: IterationSchedule,
+    scope_mode: Literal["intersect", "filter_chunks"],
+) -> list[StageTrace]:
+    """The schedule's narrowing iterations: one trace per step, the last
+    holding the final table scope. Raises ``ScopeCollapsedError`` with the
+    traces so far when a step's combined scope is empty."""
+    per_stage: list[StageTrace] = []
+    scope: set[TableId] | None = None
+    for step_no, (k, l, _h) in enumerate(schedule.steps, start=1):
+        t0 = time.perf_counter_ns()
+        ctx = retrieve_contextual(chunk_index, question, k, scope, scope_mode).tables
+        t1 = time.perf_counter_ns()
+        stru = retrieve_structural(graph, question, l, scope).tables
+        t2 = time.perf_counter_ns()
+        scope = ctx & stru if schedule.scope_combine == "intersection" else ctx | stru
+        per_stage.append(
+            StageTrace(step_no, ctx, stru, scope, (t1 - t0) // 1000, (t2 - t1) // 1000)
+        )
+        if not scope:
+            raise ScopeCollapsedError(step_no, per_stage)
+    return per_stage
+
+
 def run_pipeline(
     question: str,
     chunk_index: ChunkIndex,
@@ -174,54 +204,28 @@ def run_pipeline(
     schedule: IterationSchedule,
     config: PipelineConfig,
 ) -> RetrievalOutput:
-    """Run the full iterative retrieval for one question."""
+    """Narrow the scope for one question, then rank its join candidates."""
     unavailable = lookup_tables(catalog, config.unavailable_tables)
-    timings = {"contextual": 0, "structural": 0, "relational": 0}
-    per_stage: list[StageTrace] = []
-    scope: set[TableId] | None = None
     start_total = time.perf_counter_ns()
-
-    for step_no, (k, l, _h) in enumerate(schedule.steps, start=1):
-        t0 = time.perf_counter_ns()
-        ctx_tables = retrieve_contextual(
-            chunk_index, question, k, scope, config.contextual_scope_mode
-        ).tables
-        t1 = time.perf_counter_ns()
-        str_tables = retrieve_structural(graph, question, l, scope).tables
-        t2 = time.perf_counter_ns()
-        timings["contextual"] += (t1 - t0) // 1000
-        timings["structural"] += (t2 - t1) // 1000
-
-        if schedule.scope_combine == "intersection":
-            combined = ctx_tables & str_tables
-        else:
-            combined = ctx_tables | str_tables
-        per_stage.append(
-            StageTrace(
-                iteration=step_no,
-                contextual_tables=ctx_tables,
-                structural_tables=str_tables,
-                scope=combined,
-            )
-        )
-        if not combined:
-            raise ScopeCollapsedError(step_no, per_stage)
-        scope = combined
-
-    assert scope is not None
-    final_h = schedule.steps[-1][2]
+    per_stage = narrow(
+        question, chunk_index, graph, schedule, config.contextual_scope_mode
+    )
     t0 = time.perf_counter_ns()
-    hypergraph = build_hypergraph(scope, catalog, config.ranking, unavailable)
+    hypergraph = build_hypergraph(per_stage[-1].scope, catalog, config.ranking, unavailable)
     entities = hypergraph_rank(
         hypergraph,
         question,
-        replace(config.ranking, h=final_h),
+        replace(config.ranking, h=schedule.steps[-1][2]),
         config.similarity,
         catalog,
     )
-    timings["relational"] += (time.perf_counter_ns() - t0) // 1000
-    timings["total"] = (time.perf_counter_ns() - start_total) // 1000
-
+    t1 = time.perf_counter_ns()
+    timings = {
+        "contextual": sum(t.contextual_us for t in per_stage),
+        "structural": sum(t.structural_us for t in per_stage),
+        "relational": (t1 - t0) // 1000,
+        "total": (t1 - start_total) // 1000,
+    }
     return RetrievalOutput(
         entities=entities,
         tables={e.table for e in entities},

@@ -115,6 +115,8 @@ class _BoundedServer(ThreadingHTTPServer):
     and joins them on close."""
 
     daemon_threads = False
+    # socketserver's default backlog of 5 reset some of 66 simultaneous connections.
+    request_queue_size = 128
 
     def __init__(self, address, handler, threads: int) -> None:
         super().__init__(address, handler)

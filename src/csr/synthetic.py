@@ -44,6 +44,8 @@ class GeneratorProfile:
         check_types(self, ProfileError)
         if min(self.table_count, self.query_count, self.variants_per_group) < 1:
             raise ProfileError("counts must be >= 1")
+        if self.table_count > NAME_POOL_SIZE:
+            raise ProfileError(f"table_count exceeds name pool ({NAME_POOL_SIZE})")
         if not 0.0 <= self.tables_per_query_p_ge7 <= 1.0:
             raise ProfileError("tables_per_query_p_ge7 must be in [0, 1]")
         if self.fk_median_target < 0 or self.tables_per_query_stddev <= 0:
@@ -70,6 +72,7 @@ SECONDARY_WORDS = [
     "event", "queue", "entry", "item", "note", "record", "metric",
     "trail", "board", "chain",
 ]
+NAME_POOL_SIZE = len(PRIMARY_WORDS) * len(SECONDARY_WORDS)
 
 ATTRIBUTE_WORDS = [
     "amount", "quantity", "status", "created_at", "updated_at", "code",
@@ -127,6 +130,8 @@ def build_group_catalog(
     table_count: int, column_count: int, seed: int = 0
 ) -> SchemaCatalog:
     """Catalog with an exact total column count, for fixed-size fixtures."""
+    if table_count > NAME_POOL_SIZE:
+        raise ProfileError(f"table_count exceeds name pool ({NAME_POOL_SIZE})")
     if column_count < table_count:
         raise ProfileError("need at least one column per table")
     rng = random.Random(seed)
@@ -149,10 +154,7 @@ def _catalog_document(
     attr_counts: list[int],
     rng: random.Random,
 ) -> dict:
-    pool_size = len(PRIMARY_WORDS) * len(SECONDARY_WORDS)
-    if table_count > pool_size:
-        raise ProfileError(f"table_count exceeds name pool ({pool_size})")
-    picks = rng.sample(range(pool_size), table_count)
+    picks = rng.sample(range(NAME_POOL_SIZE), table_count)
     names = [
         f"{PRIMARY_WORDS[p // len(SECONDARY_WORDS)]}_{SECONDARY_WORDS[p % len(SECONDARY_WORDS)]}"
         for p in picks

@@ -509,6 +509,16 @@ class TestEvalAndBench:
         assert len(captured.err.splitlines()) == 1
         assert named in json.loads(captured.err)["error"]
 
+    def test_profile_beyond_the_name_pool_exits_2(self, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"table_count": 10**9}))
+        out = tmp_path / "results.csv"
+        code = main(["eval", "--profile", str(profile), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "name pool (960)" in json.loads(captured.err)["error"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "schedules_doc,named",
         [

@@ -5,13 +5,22 @@ import pytest
 
 from csr.contextual import build_chunk_index
 from csr.evaluation import (
+    SweepRow,
     default_sweep_schedules,
     latency_bench,
     run_sweep,
     split_trace,
     write_sweep_csv,
 )
-from csr.pipeline import IterationSchedule, PipelineConfig, RetrievalOutput
+from csr.metrics import precision_recall
+from csr.pipeline import (
+    IterationSchedule,
+    PipelineConfig,
+    RetrievalOutput,
+    ScopeCollapsedError,
+    run_pipeline,
+)
+from csr.sqlrefs import extract_relevant_set
 from csr.structural import build_knowledge_graph
 from csr.synthetic import GeneratorProfile, generate_synthetic
 
@@ -25,6 +34,67 @@ def small_world():
         similarity=dataclasses.replace(PipelineConfig().similarity, dimension=256)
     )
     return catalog, trace, config
+
+
+def _reference_sweep(catalog, trace, schedules, config):
+    """The sweep's rows from ``run_pipeline``'s stage traces, a collapsed
+    scope scoring as an empty prediction from its iteration on, and the
+    number of iterations a collapse left unrun."""
+    build, held = split_trace(trace)
+    index = build_chunk_index(build, catalog, config.similarity)
+    graph = build_knowledge_graph(catalog, config.similarity)
+    rows, unrun = [], 0
+    for schedule_id, schedule in enumerate(schedules):
+        sums = [[0.0, 0.0] for _ in schedule.steps]
+        for entry in held:
+            try:
+                traces = run_pipeline(
+                    entry["question"], index, graph, catalog, schedule, config
+                ).per_stage
+            except ScopeCollapsedError as exc:
+                traces = exc.per_stage
+            unrun += len(schedule.steps) - len(traces)
+            scopes = [t.scope for t in traces]
+            scopes += [set()] * (len(schedule.steps) - len(scopes))
+            truth = extract_relevant_set(entry["sql"], catalog).tables
+            for it, scope in enumerate(scopes):
+                m = precision_recall(scope, truth)
+                sums[it][0] += m.precision
+                sums[it][1] += m.recall
+        for it, (k, l, h) in enumerate(schedule.steps):
+            rows.append(
+                SweepRow(
+                    schedule_id, it + 1, k, l, h,
+                    sums[it][0] / len(held), sums[it][1] / len(held), len(held),
+                )
+            )
+    return rows, unrun
+
+
+# Intersecting single-item scopes from the second step on collapses three
+# held-out questions at step 2, leaving step 3 to score empty predictions.
+_SWEEP_CASES = {
+    "cosine": ("cosine", default_sweep_schedules(20)),
+    "bm25": ("bm25", default_sweep_schedules(20)),
+    "collapse": (
+        "bm25",
+        [
+            IterationSchedule(
+                steps=((4, 20, 16), (1, 1, 16), (1, 1, 16)),
+                scope_combine="intersection",
+            )
+        ],
+    ),
+}
+
+
+def _sweep_case(small_world, case):
+    catalog, trace, config = small_world
+    metric, schedules = _SWEEP_CASES[case]
+    config = dataclasses.replace(
+        config, similarity=dataclasses.replace(config.similarity, metric=metric)
+    )
+    return catalog, trace, schedules, config
 
 
 class TestSplit:
@@ -91,6 +161,28 @@ class TestSweep:
             assert (entry["question"], entry["sql"]) not in {
                 (c.question, c.sql) for c in index.chunks
             }
+
+    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+    def test_rows_equal_run_pipeline_stage_traces(self, small_world, case):
+        catalog, trace, schedules, config = _sweep_case(small_world, case)
+        expected, unrun = _reference_sweep(catalog, trace, schedules, config)
+        assert run_sweep(catalog, trace, schedules, config) == expected
+        if case == "collapse":
+            assert unrun > 0
+
+    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+    def test_rows_need_no_ranking(self, small_world, case, monkeypatch):
+        catalog, trace, schedules, config = _sweep_case(small_world, case)
+        expected = run_sweep(catalog, trace, schedules, config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ranked join candidates")
+
+        import csr.pipeline as pipeline_module
+
+        monkeypatch.setattr(pipeline_module, "build_hypergraph", refuse)
+        monkeypatch.setattr(pipeline_module, "hypergraph_rank", refuse)
+        assert run_sweep(catalog, trace, schedules, config) == expected
 
     def test_default_sweep_schedules_are_valid(self):
         for size in (1, 12, 50, 100, 246):

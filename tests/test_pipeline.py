@@ -14,6 +14,7 @@ from csr.pipeline import (
     ScopeCollapsedError,
     build_query_response,
     default_schedule,
+    narrow,
     run_pipeline,
 )
 from csr.relational import build_hypergraph, hypergraph_rank
@@ -169,6 +170,43 @@ class TestRunPipeline:
 
         orders = lookup_table(shop_catalog, "orders")
         assert all(e.table != orders for e in output.entities)
+
+
+class TestNarrow:
+    @pytest.mark.parametrize("scope_mode", ["intersect", "filter_chunks"])
+    def test_traces_equal_run_pipeline_stage_traces(
+        self, shop_catalog, shop_pipeline, scope_mode
+    ):
+        index, graph, config = shop_pipeline
+        config = dataclasses.replace(config, contextual_scope_mode=scope_mode)
+        schedule = IterationSchedule(steps=((4, 12, 6), (2, 6, 4), (1, 3, 4)))
+        for question in [entry["question"] for entry in SHOP_TRACE] + ["category"]:
+            traces = narrow(question, index, graph, schedule, scope_mode)
+            output = run_pipeline(question, index, graph, shop_catalog, schedule, config)
+            assert traces == output.per_stage
+            assert [t.iteration for t in traces] == [1, 2, 3]
+
+    def test_collapse_raises_like_run_pipeline(self, shop_catalog, shop_pipeline):
+        index, graph, config = shop_pipeline
+        schedule = IterationSchedule(
+            steps=((4, 12, 4), (1, 1, 4)), scope_combine="intersection"
+        )
+        with pytest.raises(ScopeCollapsedError) as narrowed:
+            narrow("category", index, graph, schedule, "intersect")
+        with pytest.raises(ScopeCollapsedError) as ran:
+            run_pipeline("category", index, graph, shop_catalog, schedule, config)
+        assert narrowed.value.step == ran.value.step
+        assert narrowed.value.per_stage == ran.value.per_stage
+        assert narrowed.value.per_stage[-1].scope == set()
+
+    def test_stage_timings_sum_the_iteration_clocks(self, shop_catalog, shop_pipeline):
+        index, graph, config = shop_pipeline
+        schedule = IterationSchedule(steps=((4, 12, 6), (2, 6, 4)))
+        output = run_pipeline("orders", index, graph, shop_catalog, schedule, config)
+        for stage in ("contextual", "structural"):
+            clocks = [getattr(t, f"{stage}_us") for t in output.per_stage]
+            assert output.timings[stage] == sum(clocks)
+            assert all(us >= 0 for us in clocks)
 
 
 class TestPipelineConfig:

@@ -5,6 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
+import csr.synthetic as synthetic_module
 from csr.catalog import catalog_stats, to_document
 from csr.sqlrefs import extract_relevant_set
 from csr.synthetic import (
@@ -27,6 +28,11 @@ class TestProfile:
     def test_bad_counts_rejected(self):
         with pytest.raises(ProfileError):
             GeneratorProfile(table_count=0)
+
+    def test_table_count_beyond_the_name_pool_is_rejected_at_once(self):
+        with pytest.raises(ProfileError, match=r"exceeds name pool \(960\)"):
+            GeneratorProfile(table_count=10**9)
+        GeneratorProfile(table_count=960)
 
     def test_infeasible_budget_rejected(self):
         with pytest.raises(ProfileError, match="infeasible"):
@@ -127,6 +133,16 @@ class TestGroupCatalog:
         catalog = build_group_catalog(tables, columns)
         assert len(catalog.tables) == tables
         assert catalog.column_count == columns
+
+    def test_table_count_beyond_the_name_pool_is_rejected_before_drawing(
+        self, monkeypatch
+    ):
+        def refuse(seed):
+            raise AssertionError("drew from the generator")
+
+        monkeypatch.setattr(synthetic_module.random, "Random", refuse)
+        with pytest.raises(ProfileError, match=r"exceeds name pool \(960\)"):
+            build_group_catalog(961, 10**4)
 
     def test_rejects_fewer_columns_than_tables(self):
         with pytest.raises(ProfileError):
