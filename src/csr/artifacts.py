@@ -23,11 +23,18 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .catalog import SchemaCatalog, load_catalog, to_document
+from .catalog import (
+    SchemaCatalog,
+    check_types,
+    from_document,
+    load_catalog,
+    to_document,
+)
 from .contextual import ChunkIndex, index_labelled_chunks
 from .pipeline import PipelineConfig
 from .sqlrefs import RelevantSet
@@ -61,6 +68,34 @@ class ArtifactVersionError(ArtifactError):
         )
         self.expected = expected
         self.found = found
+
+
+@dataclass(frozen=True)
+class ChunkRecord:
+    """One entry of ``chunks.json``: a trace pair and its labels as ids."""
+
+    question: str
+    sql: str
+    tables: list[int]
+    columns: list[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        check_types(self)
+
+    def relevant(self, catalog: SchemaCatalog, name: str) -> RelevantSet:
+        """The labels as a RelevantSet. Unless each table id is one of
+        ``catalog``'s and each column pair names a column of a table in
+        ``tables``, a ``ValueError`` that starts ``invalid {name}``."""
+        tables = set(self.tables)
+        for t in tables:
+            if not 0 <= t < len(catalog.tables):
+                raise ValueError(f"invalid {name}: no table {t} in the catalog")
+        columns = {(t, c) for t, c in self.columns}
+        for t, c in columns:
+            owned = 0 <= c < catalog.column_count and catalog.column_owner(c) == t
+            if not (owned and t in tables):
+                raise ValueError(f"invalid {name}: [{t}, {c}] outside its tables")
+        return RelevantSet(tables=tables, columns=columns)
 
 
 def _canonical_json(doc) -> bytes:
@@ -174,18 +209,12 @@ def load_index(
     # Decoded first, so the bytes are freed before the text is parsed.
     catalog = load_catalog(json.loads(verified("catalog.json").decode("utf-8")))
     chunk_doc = json.loads(verified("chunks.json").decode("utf-8"))
+    labelled = []
     try:
-        labelled = [
-            (
-                cdoc["question"],
-                cdoc["sql"],
-                RelevantSet(
-                    tables=set(cdoc["tables"]),
-                    columns={(t, c) for t, c in cdoc["columns"]},
-                ),
-            )
-            for cdoc in chunk_doc["chunks"]
-        ]
+        for i, cdoc in enumerate(chunk_doc["chunks"]):
+            where = f"chunks[{i}]"
+            rec = from_document(ChunkRecord, cdoc, where)
+            labelled.append((rec.question, rec.sql, rec.relevant(catalog, where)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed chunks.json: {exc!r}") from exc
     chunk_vectors = graph_vectors = None

@@ -13,7 +13,8 @@ Schema document format::
                  "foreign_keys": [{"column": ..., "ref_table": ..., "ref_column": ...}]}]}
 
 ``description`` and ``primary_key`` are optional; missing descriptions are
-stored as empty strings so text assembly never special-cases them.
+stored as empty strings so text assembly never special-cases them. An entry
+holding another key, or a value of another JSON type, is rejected.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cache
 from pathlib import Path
@@ -72,6 +73,7 @@ _JSON_NAMES = {
     int: ("an integer", "integers"),
     float: ("a finite number", "finite numbers"),
     str: ("a string", "strings"),
+    list: ("a list", "lists"),
 }
 _COUNTS = {2: "two", 3: "three", 4: "four"}
 _type_hints = cache(get_type_hints)  # a class's annotations, resolved once
@@ -82,32 +84,39 @@ def check_types(obj, error: type[ValueError] = ValueError) -> None:
     value is not a JSON value of the field's annotation: ``bool`` takes only
     true and false, ``int`` an integer but not a boolean, ``float`` a finite
     int or float, ``str`` a string; ``X | None`` also takes null,
-    ``tuple[X, ...]`` and ``list[X]`` a list or tuple of X, ``tuple[X, Y, Z]``
-    exactly those three, and a dataclass type an instance of it."""
+    ``tuple[X, ...]`` and ``list[X]`` a list or tuple of X, ``tuple[X, X, X]``
+    exactly three X, and a dataclass type an instance of it."""
     hints = _type_hints(type(obj))
     for f in fields(obj):
-        if not _accepts(hints[f.name], getattr(obj, f.name)):
+        if not _accepts(hints[f.name])(getattr(obj, f.name)):
             raise error(f"{f.name} must be {_describe(hints[f.name])}")
 
 
-def _accepts(annotation, value) -> bool:
+@cache
+def _accepts(annotation) -> Callable[[object], bool]:
+    """Whether a value is a JSON value of ``annotation``, as a predicate
+    built once per annotation."""
     if annotation is int:
-        return is_int(value)
+        return is_int
     if annotation is float:  # an int too, if a float can hold it
-        number = is_int(value) or isinstance(value, float)
-        return number and abs(value) <= sys.float_info.max
+        return lambda v: (
+            (is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+        )
     args = get_args(annotation)
     if get_origin(annotation) is Literal:
-        return isinstance(value, str) and value in args
+        return lambda v: isinstance(v, str) and v in args
     if not args:  # bool, str or a dataclass
-        return isinstance(value, annotation)
+        return lambda v: isinstance(v, annotation)
+    item = _accepts(args[0])
     if type(None) in args:  # X | None
-        return value is None or _accepts(args[0], value)
-    if not isinstance(value, (list, tuple)):
-        return False
-    if args[-1] is Ellipsis or get_origin(annotation) is list:
-        return all(_accepts(args[0], item) for item in value)
-    return len(value) == len(args) and all(map(_accepts, args, value))
+        return lambda v: v is None or item(v)
+    fixed = get_origin(annotation) is tuple and args[-1] is not Ellipsis
+    size = len(args) if fixed else None  # tuple[X, X] holds two X
+    return lambda v: (
+        isinstance(v, (list, tuple))
+        and (size is None or len(v) == size)
+        and all(map(item, v))
+    )
 
 
 def _describe(annotation, many: bool = False) -> str:
@@ -216,9 +225,8 @@ def load_catalog(source: str | Path | dict) -> SchemaCatalog:
     else:
         doc = source
 
-    if not isinstance(doc, dict) or not isinstance(doc.get("tables"), list):
-        raise CatalogError("schema document must be an object with a 'tables' list")
-    table_docs = doc["tables"]
+    _check_entry(doc, "schema document", {"tables": list})
+    table_docs = doc.get("tables")
     if not table_docs:
         raise CatalogError("empty catalog: schema document has zero tables")
 
@@ -230,37 +238,36 @@ def load_catalog(source: str | Path | dict) -> SchemaCatalog:
     parsed_columns: list[list[Column]] = []
     for ti, tdoc in enumerate(table_docs):
         loc = f"tables[{ti}]"
-        if not isinstance(tdoc, dict) or not tdoc.get("name"):
+        _check_entry(tdoc, loc, _TABLE_KEYS)
+        name = tdoc.get("name")
+        if not name:
             raise CatalogError(f"{loc}: table entry must have a 'name'")
-        name = str(tdoc["name"])
         if name.lower() in name_to_id:
             raise CatalogError(f"{loc}: duplicate table name '{name}'")
         name_to_id[name.lower()] = ti
 
-        col_docs = tdoc.get("columns") or []
+        col_docs = tdoc.get("columns", [])
         if not col_docs:
             raise CatalogError(f"{loc} ('{name}'): table has no columns")
         columns: list[Column] = []
         seen_cols: set[str] = set()
         for ci, cdoc in enumerate(col_docs):
             cloc = f"{loc}.columns[{ci}]"
-            if not isinstance(cdoc, dict) or not cdoc.get("name"):
+            _check_entry(cdoc, cloc, _COLUMN_KEYS)
+            cname = cdoc.get("name")
+            if not cname:
                 raise CatalogError(f"{cloc}: column entry must have a 'name'")
-            cname = str(cdoc["name"])
             if cname.lower() in seen_cols:
                 raise CatalogError(
                     f"{cloc}: duplicate column name '{cname}' in table '{name}'"
                 )
             seen_cols.add(cname.lower())
-            primary_key = cdoc.get("primary_key", False)
-            if not isinstance(primary_key, bool):
-                raise CatalogError(f"{cloc}: primary_key must be true or false")
             columns.append(
                 Column(
                     id=next_column_id,
                     name=cname,
-                    description=str(cdoc.get("description") or ""),
-                    is_primary_key=primary_key,
+                    description=cdoc.get("description", ""),
+                    is_primary_key=cdoc.get("primary_key", False),
                 )
             )
             next_column_id += 1
@@ -268,15 +275,14 @@ def load_catalog(source: str | Path | dict) -> SchemaCatalog:
 
     # Second pass: foreign keys, now that every table and column is known.
     for ti, tdoc in enumerate(table_docs):
-        name = str(tdoc["name"])
+        name = tdoc["name"]
         fks: list[ForeignKey] = []
-        for fi, fdoc in enumerate(tdoc.get("foreign_keys") or []):
+        for fi, fdoc in enumerate(tdoc.get("foreign_keys", [])):
             floc = f"tables[{ti}].foreign_keys[{fi}]"
-            if not isinstance(fdoc, dict):
-                raise CatalogError(f"{floc}: foreign key entry must be an object")
-            col_name = str(fdoc.get("column") or "")
-            ref_table = str(fdoc.get("ref_table") or "")
-            ref_column = str(fdoc.get("ref_column") or "")
+            _check_entry(fdoc, floc, _FOREIGN_KEY_KEYS)
+            col_name = fdoc.get("column", "")
+            ref_table = fdoc.get("ref_table", "")
+            ref_column = fdoc.get("ref_column", "")
             from_col = _find_column(parsed_columns[ti], col_name)
             if from_col is None:
                 raise CatalogError(
@@ -310,13 +316,31 @@ def load_catalog(source: str | Path | dict) -> SchemaCatalog:
             Table(
                 id=ti,
                 name=name,
-                description=str(tdoc.get("description") or ""),
+                description=tdoc.get("description", ""),
                 columns=tuple(parsed_columns[ti]),
                 foreign_keys=tuple(fks),
             )
         )
 
     return SchemaCatalog(tables=tables)
+
+
+# The keys each kind of schema entry may hold, and the type of each value.
+_TABLE_KEYS = {"name": str, "description": str, "columns": list, "foreign_keys": list}
+_COLUMN_KEYS = {"name": str, "description": str, "primary_key": bool}
+_FOREIGN_KEY_KEYS = {"column": str, "ref_table": str, "ref_column": str}
+
+
+def _check_entry(doc, loc: str, keys: dict[str, type]) -> None:
+    """Raise a CatalogError at ``loc`` unless ``doc`` is an object whose keys
+    are all in ``keys``, each holding a JSON value of its type."""
+    if not isinstance(doc, dict):
+        raise CatalogError(f"{loc}: must be a JSON object")
+    for key, value in doc.items():
+        if key not in keys:
+            raise CatalogError(f"{loc}: unknown key '{key}'")
+        if not isinstance(value, keys[key]):
+            raise CatalogError(f"{loc}: {key} must be {_JSON_NAMES[keys[key]][0]}")
 
 
 def _find_column(columns: Sequence[Column], name: str) -> Column | None:

@@ -133,14 +133,17 @@ def cmd_index(args) -> int:
 
 
 def _parse_schedule_flag(text: str) -> IterationSchedule:
-    """Parse ``k,l,h;k,l,h;...`` into a schedule."""
-    steps = [[int(x) for x in part.split(",")] for part in text.split(";")]
-    return IterationSchedule(steps)
+    """Parse ``k,l,h;k,l,h;...`` into a schedule; an error names the flag."""
+    try:
+        steps = [[int(x) for x in part.split(",")] for part in text.split(";")]
+        return IterationSchedule(steps)
+    except ValueError as exc:
+        raise ValueError(f"--schedule {text!r}: {exc}") from exc
 
 
 def cmd_query(args) -> int:
     catalog, chunk_index, graph, config, manifest = load_index(args.index)
-    schedule = _parse_schedule_flag(args.schedule) if args.schedule else None
+    schedule = None if args.schedule is None else _parse_schedule_flag(args.schedule)
     request = QueryRequest(args.question, schedule, args.max_entities, args.timings)
     payload = answer(
         request, chunk_index, graph, catalog, config, manifest["schema_version"]
@@ -193,12 +196,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    catalog, chunk_index, graph, config, manifest = load_index(args.index)
     host, _, port_text = args.bind.rpartition(":")
     try:
         port = int(port_text)
     except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
         return _fail(EXIT_ERROR, error=f"invalid bind address '{args.bind}'")
+    catalog, chunk_index, graph, config, manifest = load_index(args.index)
     service = RetrievalService(
         catalog=catalog,
         chunk_index=chunk_index,

@@ -14,7 +14,9 @@ that name; ambiguous names are dropped from the column set.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import ColumnId, SchemaCatalog, TableId, lookup_table
 
@@ -44,10 +46,10 @@ KEYWORDS = frozenset(
 )
 
 _TABLE_INTRO = {"FROM", "JOIN", "UPDATE", "INTO"}
+_NOT_A_COLUMN_AFTER = _TABLE_INTRO | {"AS"}
 
 
-@dataclass(frozen=True)
-class SqlToken:
+class SqlToken(NamedTuple):
     kind: str  # keyword | identifier | number | string | punct
     value: str
     offset: int  # byte offset of the token start
@@ -70,6 +72,44 @@ class RelevantSet:
         }
 
 
+# One alternative per token kind, tried in order at each position, so ``--``,
+# ``/*`` and ``.5`` are read before the one-character punctuation they start
+# with. Block comments, strings and quoted identifiers share the ``closed``
+# group: each body stops only at its own closer or at the end of the text, so
+# the group is None exactly when the construct is unterminated. A word starts
+# with a letter, ``_`` or a numeric character that is not a decimal digit
+# (``²``, ``½``, ``Ⅷ``); ``\d`` is a decimal digit. Any other character is
+# punctuation, so the extractor never rejects one.
+_TOKEN = re.compile(
+    r"""
+      (?P<word> [^\W\d][\w$\#]* )
+    | (?P<skip> \s+ | --[^\n]* )
+    | (?P<quoted>
+          (?: /\*(?:[^*]|\*(?!/))*
+            | '(?:[^']|'')*
+            | "(?:[^"]|"")*
+            | `(?:[^`]|``)*
+            | \[[^\]]*
+          )
+          (?P<closed> \*/ | ['"`\]] )?
+      )
+    | (?P<number> \.?\d (?:[\d.]|[eE][+-]?)* )
+    | (?P<punct> <= | >= | <> | != | \|\| | :: | . )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+# What an opening character starts: the token kind (None for a block
+# comment) and the error raised when the text ends before its closer.
+_OPENERS = {
+    "/": (None, "unterminated block comment"),
+    "'": ("string", "unterminated string literal"),
+    '"': ("identifier", "unterminated quoted identifier"),
+    "`": ("identifier", "unterminated quoted identifier"),
+    "[": ("identifier", "unterminated quoted identifier"),
+}
+
+
 def tokenize_sql(sql: str) -> list[SqlToken]:
     """Tokenize SQL into typed tokens with byte offsets; comments stripped.
 
@@ -78,105 +118,34 @@ def tokenize_sql(sql: str) -> list[SqlToken]:
     SqlTokenError for unterminated literals or block comments.
     """
     tokens: list[SqlToken] = []
-    i = 0
-    byte_pos = 0
-    n = len(sql)
-
-    def advance(count: int) -> None:
-        nonlocal i, byte_pos
-        byte_pos += len(sql[i : i + count].encode("utf-8"))
-        i += count
-
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            advance(1)
+    # Byte and character offsets agree only in ASCII text. Encoding also
+    # raises UnicodeEncodeError for a lone surrogate, which has no bytes.
+    ascii_text = len(sql.encode("utf-8")) == len(sql)
+    start = offset = 0  # character and byte position of the last token
+    for m in _TOKEN.finditer(sql):
+        kind, value = m.lastgroup, m.group()
+        if kind == "skip":
             continue
-        # Line comment.
-        if ch == "-" and sql.startswith("--", i):
-            end = sql.find("\n", i)
-            advance((end - i) if end != -1 else (n - i))
-            continue
-        # Block comment.
-        if ch == "/" and sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end == -1:
-                raise SqlTokenError("unterminated block comment", byte_pos)
-            advance(end + 2 - i)
-            continue
-        # String literal with '' escaping.
-        if ch == "'":
-            start_byte = byte_pos
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    raise SqlTokenError("unterminated string literal", start_byte)
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                parts.append(sql[j])
-                j += 1
-            tokens.append(SqlToken("string", "".join(parts), start_byte))
-            advance(j + 1 - i)
-            continue
-        # Quoted identifiers.
-        if ch in '"`[':
-            closer = {'"': '"', "`": "`", "[": "]"}[ch]
-            start_byte = byte_pos
-            j = i + 1
-            parts = []
-            while True:
-                if j >= n:
-                    raise SqlTokenError("unterminated quoted identifier", start_byte)
-                if sql[j] == closer:
-                    if closer != "]" and j + 1 < n and sql[j + 1] == closer:
-                        parts.append(closer)
-                        j += 2
-                        continue
-                    break
-                parts.append(sql[j])
-                j += 1
-            tokens.append(SqlToken("identifier", "".join(parts), start_byte))
-            advance(j + 1 - i)
-            continue
-        # Numbers.
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            start_byte = byte_pos
-            j = i
-            while j < n and (sql[j].isdigit() or sql[j] in ".eE+-"):
-                if sql[j] in "+-" and sql[j - 1] not in "eE":
-                    break
-                j += 1
-            tokens.append(SqlToken("number", sql[i:j], start_byte))
-            advance(j - i)
-            continue
-        # Bare identifiers / keywords.
-        if ch.isalpha() or ch == "_":
-            start_byte = byte_pos
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] in "_$#"):
-                j += 1
-            word = sql[i:j]
-            if word.lower() in KEYWORDS:
-                tokens.append(SqlToken("keyword", word.upper(), start_byte))
-            else:
-                tokens.append(SqlToken("identifier", word, start_byte))
-            advance(j - i)
-            continue
-        # Multi-char operators, then single-char punctuation. Unknown
-        # characters become punctuation too; the extractor never rejects them.
-        start_byte = byte_pos
-        two = sql[i : i + 2]
-        if two in ("<=", ">=", "<>", "!=", "||", "::"):
-            tokens.append(SqlToken("punct", two, start_byte))
-            advance(2)
+        if ascii_text:
+            offset = m.start()
         else:
-            tokens.append(SqlToken("punct", ch, start_byte))
-            advance(1)
+            offset += len(sql[start : m.start()].encode("utf-8"))
+            start = m.start()
+        if kind == "quoted":
+            kind, unterminated = _OPENERS[value[0]]
+            if m["closed"] is None:
+                raise SqlTokenError(unterminated, offset)
+            if kind is None:
+                continue
+            # A doubled closer stands for one; ``[...]`` holds no ``]`` at all.
+            closer = value[-1]
+            value = value[1:-1].replace(closer * 2, closer)
+        elif kind == "word":
+            if value.lower() in KEYWORDS:
+                kind, value = "keyword", value.upper()
+            else:
+                kind = "identifier"
+        tokens.append(SqlToken(kind, value, offset))
     return tokens
 
 
@@ -187,10 +156,8 @@ def extract_relevant_set(sql: str, catalog: SchemaCatalog) -> RelevantSet:
     and CTE names excluded; columns come from qualified ``alias.column`` /
     ``table.column`` references plus unambiguous unqualified names.
     """
-    if not sql or not sql.strip():
-        raise SqlExtractError("empty SQL input")
     tokens = tokenize_sql(sql)
-    if not tokens:
+    if not tokens:  # blank, or comments only
         raise SqlExtractError("empty SQL input")
 
     cte_names = _collect_cte_names(tokens)
@@ -201,15 +168,13 @@ def extract_relevant_set(sql: str, catalog: SchemaCatalog) -> RelevantSet:
     # non-catalog source (CTE, derived table, unknown table).
     alias_map: dict[str, TableId | None] = {}
 
-    idx = 0
-    while idx < len(tokens):
-        tok = tokens[idx]
+    # A table-reference list holds no FROM/JOIN/UPDATE/INTO, so binding one
+    # after each of them never skips another.
+    for idx, tok in enumerate(tokens):
         if tok.kind == "keyword" and tok.value in _TABLE_INTRO:
-            idx = _bind_table_refs(
+            _bind_table_refs(
                 tokens, idx + 1, tok.value, catalog, cte_names, alias_map, result
             )
-            continue
-        idx += 1
 
     _collect_columns(tokens, catalog, alias_map, derived_aliases, cte_names, result)
     return result
@@ -289,60 +254,49 @@ def _bind_table_refs(
     cte_names: set[str],
     alias_map: dict[str, TableId | None],
     result: RelevantSet,
-) -> int:
-    """Parse one table-reference list beginning after FROM/JOIN/UPDATE/INTO."""
+) -> None:
+    """Bind one table-reference list beginning after FROM/JOIN/UPDATE/INTO.
+
+    A derived table ``(`` ends the list: the main pass scans the subquery's
+    own FROM clause, and its trailing alias lands in the excluded set via
+    _collect_post_paren_aliases. A comma continuing the outer FROM list
+    after the group is not chased.
+    """
     i = start
-    while True:
-        if i >= len(tokens):
-            return i
-        tok = tokens[i]
-        if tok.kind == "punct" and tok.value == "(":
-            # Derived table: step inside so the subquery's own FROM clause is
-            # scanned by the main pass; its trailing alias lands in the
-            # excluded set via _collect_post_paren_aliases. A comma continuing
-            # the outer FROM list after the group is not chased.
-            return i + 1
-        elif tok.kind == "identifier":
-            chain = [tok.value]
+    while i < len(tokens) and tokens[i].kind == "identifier":
+        chain, i = _dotted_name(tokens, i)
+        name = chain[-1]
+        bound: TableId | None = None
+        if name.lower() not in cte_names:
+            bound = lookup_table(catalog, name)
+            if bound is not None:
+                result.tables.add(bound)
+        alias_map.setdefault(name.lower(), bound)
+        if i < len(tokens) and tokens[i].kind == "keyword" and tokens[i].value == "AS":
             i += 1
-            while (
-                i + 1 < len(tokens)
-                and tokens[i].kind == "punct"
-                and tokens[i].value == "."
-                and tokens[i + 1].kind == "identifier"
-            ):
-                chain.append(tokens[i + 1].value)
-                i += 2
-            name = chain[-1]
-            bound: TableId | None = None
-            if name.lower() not in cte_names:
-                tid = lookup_table(catalog, name)
-                if tid is not None:
-                    result.tables.add(tid)
-                    bound = tid
-            alias_map.setdefault(name.lower(), bound)
-            i = _bind_alias(tokens, i, bound, alias_map)
-        else:
-            return i
+        if i < len(tokens) and tokens[i].kind == "identifier":
+            alias_map[tokens[i].value.lower()] = bound
+            i += 1
         # FROM lists may continue with commas; JOIN/UPDATE/INTO do not.
-        if intro == "FROM" and i < len(tokens) and tokens[i].value == ",":
-            i += 1
-            continue
-        return i
+        if intro != "FROM" or i >= len(tokens) or tokens[i].value != ",":
+            return
+        i += 1
 
 
-def _bind_alias(
-    tokens: list[SqlToken],
-    i: int,
-    bound: TableId | None,
-    alias_map: dict[str, TableId | None],
-) -> int:
-    if i < len(tokens) and tokens[i].kind == "keyword" and tokens[i].value == "AS":
-        i += 1
-    if i < len(tokens) and tokens[i].kind == "identifier":
-        alias_map[tokens[i].value.lower()] = bound
-        i += 1
-    return i
+def _dotted_name(tokens: list[SqlToken], i: int) -> tuple[list[str], int]:
+    """The names of the dotted chain ``a.b.c`` whose first identifier is
+    ``tokens[i]``, and the index just past the chain."""
+    chain = [tokens[i].value]
+    i += 1
+    while (
+        i + 1 < len(tokens)
+        and tokens[i].kind == "punct"
+        and tokens[i].value == "."
+        and tokens[i + 1].kind == "identifier"
+    ):
+        chain.append(tokens[i + 1].value)
+        i += 2
+    return chain, i
 
 
 def _collect_columns(
@@ -360,28 +314,14 @@ def _collect_columns(
         if tok.kind != "identifier":
             i += 1
             continue
-        # Gather the dotted chain starting here.
-        chain = [tok.value]
-        j = i + 1
-        while (
-            j + 1 < n
-            and tokens[j].kind == "punct"
-            and tokens[j].value == "."
-            and tokens[j + 1].kind == "identifier"
-        ):
-            chain.append(tokens[j + 1].value)
-            j += 2
+        chain, j = _dotted_name(tokens, i)
         follows_call = j < n and tokens[j].kind == "punct" and tokens[j].value == "("
-        preceded_by_as = (
-            i > 0 and tokens[i - 1].kind == "keyword" and tokens[i - 1].value == "AS"
-        )
-        preceded_by_intro = (
+        names_a_table_or_alias = (
             i > 0
             and tokens[i - 1].kind == "keyword"
-            and tokens[i - 1].value in _TABLE_INTRO
+            and tokens[i - 1].value in _NOT_A_COLUMN_AFTER
         )
-
-        if follows_call or preceded_by_as or preceded_by_intro:
+        if follows_call or names_a_table_or_alias:
             i = j
             continue
 
@@ -406,13 +346,11 @@ def _collect_columns(
                 and lowered not in derived_aliases
                 and lowered not in cte_names
             ):
-                owners = [
-                    tid
+                owned = [
+                    (tid, col.id)
                     for tid in sorted(result.tables)
-                    if catalog.table(tid).column_by_name(name) is not None
+                    if (col := catalog.table(tid).column_by_name(name)) is not None
                 ]
-                if len(owners) == 1:
-                    col = catalog.table(owners[0]).column_by_name(name)
-                    assert col is not None
-                    result.columns.add((owners[0], col.id))
+                if len(owned) == 1:
+                    result.columns.add(owned[0])
         i = j

@@ -313,14 +313,60 @@ def test_damaged_vector_file_exits_2(external_built, tmp_path, capsys, damage):
     assert "chunk_vectors.npy" in json.loads(err[0])["error"]
 
 
+def _chunk(**fields) -> bytes:
+    """A ``chunks.json`` of one record: shop's ``orders`` (table 3) and its
+    ``customer_id`` column (id 11), with ``fields`` replacing any value."""
+    record = {"question": "q", "sql": "SELECT customer_id FROM orders", "tables": [3]}
+    record["columns"] = [[3, 11]]
+    return json.dumps({"chunks": [{**record, **fields}]}).encode()
+
+
+def test_the_unedited_chunk_record_loads(built, tmp_path):
+    catalog, index, graph, config = built
+    save_index(tmp_path, catalog, index, graph, config)
+    _replace_listed_file(tmp_path, "chunks.json", _chunk())
+    _, loaded, _, _, _ = load_index(tmp_path)
+    relevant = loaded.chunks[0].relevant
+    assert (relevant.tables, relevant.columns) == ({3}, {(3, 11)})
+    assert catalog.column(11).name == "customer_id"
+
+
 @pytest.mark.parametrize(
     "body",
-    [b"[]", b'{"chunks":[1]}', b'{"chunks":[{"question":"q"}]}'],
-    ids=["list", "chunk-not-object", "chunk-without-sql"],
+    [
+        b"[]",
+        b'{"chunks":[1]}',
+        b'{"chunks":[{"question":"q"}]}',
+        _chunk(tables=["x"]),
+        _chunk(tables=[99999], columns=[]),
+        _chunk(tables=[-1], columns=[]),
+        _chunk(question=5),
+        _chunk(columns=[[0, 0]]),
+        _chunk(columns=[[3, 0]]),
+        _chunk(columns=[[3, 99999]]),
+        _chunk(columns=[[3, -1]]),
+        _chunk(columns=[[3]]),
+        _chunk(extra=1),
+    ],
+    ids=[
+        "list",
+        "chunk-not-object",
+        "chunk-without-sql",
+        "string-table-id",
+        "table-id-out-of-range",
+        "negative-table-id",
+        "numeric-question",
+        "column-outside-the-tables",
+        "column-of-another-table",
+        "column-id-out-of-range",
+        "negative-column-id",
+        "column-pair-of-one",
+        "unknown-key",
+    ],
 )
 def test_malformed_chunks_document_exits_2(built, tmp_path, capsys, body):
-    """A ``chunks.json`` whose hash the manifest matches but whose shape is
-    wrong is an artifact error, like a damaged vector file."""
+    """A ``chunks.json`` whose hash the manifest matches but whose shape,
+    types or ids are wrong is an artifact error, like a damaged vector file."""
     catalog, index, graph, config = built
     save_index(tmp_path, catalog, index, graph, config)
     _replace_listed_file(tmp_path, "chunks.json", body)

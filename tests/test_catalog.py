@@ -73,6 +73,89 @@ def test_primary_key_must_be_a_boolean(flag):
         load_catalog(doc)
 
 
+def _rename(entry: dict, old: str, new: str) -> None:
+    entry[new] = entry.pop(old)
+
+
+# Each case edits a copy of the shop document (tables[1] is customers, whose
+# one foreign key is tables[1].foreign_keys[0]) and names the error it gives.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda d: _rename(d["tables"][1], "foreign_keys", "foreign_key"),
+            r"tables\[1\]: unknown key 'foreign_key'",
+        ),
+        (
+            lambda d: _rename(d["tables"][0], "description", "descripton"),
+            r"tables\[0\]: unknown key 'descripton'",
+        ),
+        (
+            lambda d: d["tables"][0]["columns"][0].update(primary=True),
+            r"tables\[0\]\.columns\[0\]: unknown key 'primary'",
+        ),
+        (
+            lambda d: _rename(d["tables"][1]["foreign_keys"][0], "ref_column", "ref_col"),
+            r"tables\[1\]\.foreign_keys\[0\]: unknown key 'ref_col'",
+        ),
+        (lambda d: d.update(version=1), r"schema document: unknown key 'version'"),
+        (lambda d: d.update(tables={}), r"schema document: tables must be a list"),
+        (
+            lambda d: d["tables"][0].update(name=5),
+            r"tables\[0\]: name must be a string",
+        ),
+        (
+            lambda d: d["tables"][0].update(description=["x"]),
+            r"tables\[0\]: description must be a string",
+        ),
+        (
+            lambda d: d["tables"][0].update(description=None),
+            r"tables\[0\]: description must be a string",
+        ),
+        (
+            lambda d: d["tables"][0]["columns"][1].update(name=5),
+            r"tables\[0\]\.columns\[1\]: name must be a string",
+        ),
+        (
+            lambda d: d["tables"][0]["columns"][1].update(description=7),
+            r"tables\[0\]\.columns\[1\]: description must be a string",
+        ),
+        (
+            lambda d: d["tables"][0].update(columns={"name": "a"}),
+            r"tables\[0\]: columns must be a list",
+        ),
+        (
+            lambda d: d["tables"][0].update(columns=["region_id"]),
+            r"tables\[0\]\.columns\[0\]: must be a JSON object",
+        ),
+        (
+            lambda d: d["tables"][0].update(foreign_keys=0),
+            r"tables\[0\]: foreign_keys must be a list",
+        ),
+        (
+            lambda d: d["tables"][1]["foreign_keys"][0].update(ref_table=5),
+            r"tables\[1\]\.foreign_keys\[0\]: ref_table must be a string",
+        ),
+        (
+            lambda d: d["tables"][1].update(foreign_keys=["region_id"]),
+            r"tables\[1\]\.foreign_keys\[0\]: must be a JSON object",
+        ),
+    ],
+    ids=[
+        "foreign_key", "descripton", "column-key", "foreign-key-key", "document-key",
+        "tables-object",
+        "table-name-5", "description-list", "description-null", "column-name-5",
+        "column-description-7", "columns-object", "column-string", "foreign_keys-0",
+        "ref_table-5", "foreign-key-string",
+    ],
+)
+def test_malformed_entry_is_rejected_naming_its_place_and_key(edit, message):
+    doc = copy.deepcopy(SHOP_DOCUMENT)
+    edit(doc)
+    with pytest.raises(CatalogError, match=f"^{message}$"):
+        load_catalog(doc)
+
+
 def test_self_loop_fk_rejected():
     doc = {
         "tables": [

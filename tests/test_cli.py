@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -365,6 +366,14 @@ class TestQuery:
         payload = json.loads(captured.out)
         assert len(payload["entities"]) <= 2
 
+    @pytest.mark.parametrize("schedule", ["", "4,8,x", "4,8", "4,8,6;"])
+    def test_invalid_schedule_flag_exits_2_naming_it(self, inputs, capsys, schedule):
+        _, out, _ = _index(inputs, capsys)
+        code = main(["query", "--index", str(out), "open orders", "--schedule", schedule])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith("--schedule")
 
     @pytest.mark.parametrize("bad", ["0", "-1"])
     def test_non_positive_max_entities_exits_2(self, inputs, capsys, bad):
@@ -377,6 +386,30 @@ class TestQuery:
 
 
 class TestEvalAndBench:
+    @pytest.mark.parametrize(
+        "config_doc, sha256",
+        [
+            ({}, "c4211a3eadd5d31ee9c6443e57575d2966764e82b057a6939bf6d6ce40c84fc7"),
+            (
+                {"similarity": {"metric": "bm25"}},
+                "83bce2f58d024e9958c28fcbcc355250f096cee8af43cfcbd83d68363ceda18f",
+            ),
+        ],
+        ids=["cosine", "bm25"],
+    )
+    def test_default_sweep_csv_bytes_are_pinned(
+        self, tmp_path, capsys, config_doc, sha256
+    ):
+        # The default 100-table profile, labelled by SQL extraction end to
+        # end: a change to lexing, labels or scoring moves these digests.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_doc))
+        out = tmp_path / "results.csv"
+        code = main(["eval", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
     def test_eval_writes_csv(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
         profile.write_text(
@@ -424,10 +457,12 @@ class TestEvalAndBench:
 
     def test_serve_rejects_bad_bind(self, inputs, capsys):
         _, out, _ = _index(inputs, capsys)
-        code = main(["serve", "--index", str(out), "--bind", "localhost:notaport"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "bind" in json.loads(captured.err)["error"]
+        for bind in ["localhost:notaport", "127.0.0.1:99999", "127.0.0.1:65536", ":-5"]:
+            code = main(["serve", "--index", str(out), "--bind", bind])
+            captured = capsys.readouterr()
+            assert code == 2, bind
+            assert captured.err.count("\n") == 1, captured.err
+            assert "bind" in json.loads(captured.err)["error"]
 
     @pytest.mark.parametrize("slots", ["0", "-1"])
     def test_serve_without_slots_exits_2_before_binding(

@@ -1,8 +1,9 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csr.sqlrefs import (
@@ -11,6 +12,8 @@ from csr.sqlrefs import (
     extract_relevant_set,
     tokenize_sql,
 )
+
+import legacy_sql_lexer
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "sql_fixture.jsonl"
 
@@ -52,6 +55,17 @@ class TestTokenizer:
         tokens = tokenize_sql("SELECT  x")
         assert tokens[0].offset == 0
         assert tokens[1].offset == 8
+
+    def test_offsets_count_utf8_bytes_before_the_token(self):
+        tokens = tokenize_sql("é /* ü */ 数据 'x'")
+        assert [(t.value, t.offset) for t in tokens] == [
+            ("é", 0), ("数据", 12), ("x", 19)
+        ]
+
+    @pytest.mark.parametrize("sql", ["'\ud800'", "x \ud800", "\ud800 x"])
+    def test_a_lone_surrogate_has_no_byte_offset(self, sql):
+        with pytest.raises(UnicodeEncodeError):
+            tokenize_sql(sql)
 
     def test_unterminated_string_reports_offset(self):
         with pytest.raises(SqlTokenError) as err:
@@ -202,3 +216,49 @@ def test_extraction_raises_only_sql_errors(shop_catalog, sql):
         extract_relevant_set(sql, shop_catalog)
     except (SqlTokenError, SqlExtractError):
         pass
+
+
+# Characters ``str.isnumeric`` accepts that are neither decimal digits nor
+# letters (``²``, ``½``, ``Ⅷ``). ``re`` cannot tell them from the digits and
+# letters ``str.isdigit``/``str.isalpha`` name, so the compiled lexer reads
+# them as identifier characters where the character scanner did not.
+_NUMERIC_NOT_DECIMAL = frozenset(
+    c
+    for c in map(chr, range(sys.maxunicode + 1))
+    if c.isnumeric() and not c.isdecimal() and not c.isalpha()
+)
+
+
+def _lexed(tokenize, sql):
+    """The (kind, value, offset) triples, or the error's message and offset."""
+    try:
+        return [tuple(t) for t in tokenize(sql)]
+    except SqlTokenError as exc:
+        return str(exc), exc.offset
+
+
+@pytest.mark.parametrize("sql", [c["sql"] for c in _load_fixture()], ids=lambda s: s[:40])
+def test_lexer_matches_the_character_scanner_on_the_fixture_corpus(sql):
+    assert _lexed(tokenize_sql, sql) == _lexed(legacy_sql_lexer.tokenize_sql, sql)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(sql=_SQL_TEXTS)
+def test_lexer_matches_the_character_scanner(sql):
+    assume(_NUMERIC_NOT_DECIMAL.isdisjoint(sql))
+    assert _lexed(tokenize_sql, sql) == _lexed(legacy_sql_lexer.tokenize_sql, sql)
+
+
+@pytest.mark.parametrize(
+    "sql, tokens",
+    [
+        ("²", [("identifier", "²", 0)]),
+        ("½", [("identifier", "½", 0)]),
+        ("Ⅷ", [("identifier", "Ⅷ", 0)]),
+        ("1²", [("number", "1", 0), ("identifier", "²", 1)]),
+        ("x²", [("identifier", "x²", 0)]),
+        ("'²'", [("string", "²", 0)]),
+    ],
+)
+def test_numeric_characters_that_are_not_digits_read_as_identifier_text(sql, tokens):
+    assert _lexed(tokenize_sql, sql) == tokens
