@@ -33,6 +33,7 @@ from .catalog import (
     check_types,
     from_document,
     load_catalog,
+    lookup_tables,
     to_document,
 )
 from .contextual import ChunkIndex, index_labelled_chunks
@@ -127,6 +128,7 @@ def save_index(
 ) -> dict:
     """Write the catalog, the labelled chunks, the external embedder's
     matrices, and the self-hashed manifest."""
+    _check_unavailable(catalog, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -208,6 +210,7 @@ def load_index(
 
     # Decoded first, so the bytes are freed before the text is parsed.
     catalog = load_catalog(json.loads(verified("catalog.json").decode("utf-8")))
+    _check_unavailable(catalog, config)
     chunk_doc = json.loads(verified("chunks.json").decode("utf-8"))
     labelled = []
     try:
@@ -226,6 +229,14 @@ def load_index(
     chunk_index = index_labelled_chunks(labelled, catalog, similarity, chunk_vectors)
     graph = build_knowledge_graph(catalog, similarity, graph_vectors)
     return catalog, chunk_index, graph, config, manifest
+
+
+def _check_unavailable(catalog: SchemaCatalog, config: PipelineConfig) -> None:
+    """ArtifactError unless every ``unavailable_tables`` entry names a table."""
+    try:
+        lookup_tables(catalog, config.unavailable_tables)
+    except ValueError as exc:
+        raise ArtifactError(f"invalid unavailable_tables: {exc}") from exc
 
 
 def _read_manifest(path: Path) -> dict:

@@ -390,9 +390,12 @@ def lookup_table(catalog: SchemaCatalog, name: str) -> TableId | None:
 
 
 def lookup_tables(catalog: SchemaCatalog, names) -> set[TableId]:
-    """The ids of the named tables; names not in the catalog are skipped."""
-    ids = (lookup_table(catalog, name) for name in names)
-    return {tid for tid in ids if tid is not None}
+    """The ids of the named tables; a name not in the catalog is a ValueError."""
+    ids = {name: lookup_table(catalog, name) for name in names}
+    unknown = [name for name, tid in ids.items() if tid is None]
+    if unknown:
+        raise ValueError(f"no table named {', '.join(map(repr, unknown))}")
+    return set(ids.values())
 
 
 def catalog_stats(catalog: SchemaCatalog) -> CatalogStats:

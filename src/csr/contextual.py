@@ -10,7 +10,7 @@ chunks' table sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .catalog import SchemaCatalog, TableId, lookup_tables
 from .similarity import (
     Corpus,
     SimilarityConfig,
-    corpus_stats,
     embed,
     embed_batch,
     token_counts,
@@ -53,6 +52,7 @@ class ChunkIndex:
 class ContextualResult:
     ranked_chunks: list[tuple[ChunkId, float]]
     tables: set[TableId]
+    scores: np.ndarray = field(repr=False, compare=False)  # every chunk's, by id
 
 
 def contextualize(chunk_question: str, chunk_sql: str, catalog: SchemaCatalog) -> str:
@@ -140,11 +140,10 @@ def index_labelled_chunks(
         for i, (question, sql, relevant) in enumerate(labelled)
     ]
     texts = [c.contextualized for c in chunks]
-    counts = [token_counts(text) for text in texts]
-    stats = corpus_stats(counts)
     if vectors is None and config.embedder == "external":
-        vectors = embed_batch(texts, config, stats)
-    return ChunkIndex(chunks=chunks, corpus=Corpus(counts, config, stats, vectors))
+        vectors = embed_batch(texts, config)
+    counts = [token_counts(text) for text in texts]
+    return ChunkIndex(chunks=chunks, corpus=Corpus(counts, config, vectors))
 
 
 def retrieve_contextual(
@@ -153,13 +152,15 @@ def retrieve_contextual(
     k: int,
     scope: set[TableId] | None = None,
     scope_mode: str = "intersect",
+    scores: np.ndarray | None = None,
 ) -> ContextualResult:
     """Top-k most similar chunks and the union of their table sets.
 
     Ties break by ascending chunk id; ``k`` beyond the index size returns
     everything. With a scope, ``intersect`` mode keeps the global chunk
     ranking and intersects the output tables, while ``filter_chunks`` mode
-    drops chunks with no in-scope table before ranking.
+    drops chunks with no in-scope table before ranking. Given ``scores``,
+    an earlier result's array for this question, nothing is scored again.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -167,22 +168,18 @@ def retrieve_contextual(
         raise ValueError(f"unknown scope_mode '{scope_mode}'")
 
     if scope is not None and scope_mode == "filter_chunks":
-        candidate_ids = [
-            c.id for c in index.chunks if c.relevant.tables & scope
-        ]
+        candidate_ids = [c.id for c in index.chunks if c.relevant.tables & scope]
     else:
         candidate_ids = list(range(len(index.chunks)))
 
-    corpus = index.corpus
-    qvec = None
-    if corpus.config.metric == "cosine":
-        qvec = embed(question, corpus.config, corpus.stats)
-    scores = corpus.score(question, qvec, candidate_ids)
-    ranked = top_k_exact(scores, candidate_ids, k)
+    if scores is None:
+        corpus = index.corpus
+        cosine = corpus.config.metric == "cosine"
+        qvec = embed(question, corpus.config, corpus.stats) if cosine else None
+        scores = corpus.score(question, qvec)
+    ranked = top_k_exact(scores[candidate_ids], candidate_ids, k)
 
-    tables: set[TableId] = set()
-    for chunk_id, _ in ranked:
-        tables |= index.chunks[chunk_id].relevant.tables
+    tables = set().union(*(index.chunks[i].relevant.tables for i, _ in ranked))
     if scope is not None:
         tables &= scope
-    return ContextualResult(ranked_chunks=ranked, tables=tables)
+    return ContextualResult(ranked_chunks=ranked, tables=tables, scores=scores)

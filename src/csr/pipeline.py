@@ -177,15 +177,21 @@ def narrow(
     scope_mode: Literal["intersect", "filter_chunks"],
 ) -> list[StageTrace]:
     """The schedule's narrowing iterations: one trace per step, the last
-    holding the final table scope. Raises ``ScopeCollapsedError`` with the
-    traces so far when a step's combined scope is empty."""
+    holding the final table scope; each corpus scores the question once, in
+    the first step. Raises ``ScopeCollapsedError`` with the traces so far
+    when a step's combined scope is empty."""
     per_stage: list[StageTrace] = []
     scope: set[TableId] | None = None
+    ctx_scores = stru_scores = None
     for step_no, (k, l, _h) in enumerate(schedule.steps, start=1):
         t0 = time.perf_counter_ns()
-        ctx = retrieve_contextual(chunk_index, question, k, scope, scope_mode).tables
+        result = retrieve_contextual(
+            chunk_index, question, k, scope, scope_mode, ctx_scores
+        )
+        ctx, ctx_scores = result.tables, result.scores
         t1 = time.perf_counter_ns()
-        stru = retrieve_structural(graph, question, l, scope).tables
+        result = retrieve_structural(graph, question, l, scope, stru_scores)
+        stru, stru_scores = result.tables, result.scores
         t2 = time.perf_counter_ns()
         scope = ctx & stru if schedule.scope_combine == "intersection" else ctx | stru
         per_stage.append(

@@ -25,7 +25,6 @@ from .catalog import Column, ColumnId, SchemaCatalog, Table, TableId, check_type
 from .similarity import (
     Corpus,
     SimilarityConfig,
-    corpus_stats,
     embed,
     embed_batch,
     token_counts,
@@ -199,31 +198,22 @@ def hypergraph_rank(
     if not incidences:
         return []
 
-    stats = corpus_stats(counts)
-    qvec = vectors = None
-    if sim.metric == "cosine":
-        qvec = embed(question, sim, stats)
-        if sim.embedder == "external":
-            surfaces = [surface for _, _, surface in incidences]
-            vectors = embed_batch(surfaces, sim, stats)
-    corpus = Corpus(counts, sim, stats, vectors)
-    similarity = corpus.score(question, qvec, range(len(incidences)))
+    tables, columns, surfaces = zip(*incidences)
+    vectors = None
+    if sim.embedder == "external":
+        vectors = embed_batch(list(surfaces), sim)
+    corpus = Corpus(counts, sim, vectors)
+    qvec = embed(question, sim, corpus.stats) if sim.metric == "cosine" else None
+    similarity = corpus.score(question, qvec)
 
-    weights = np.array([hypergraph.weights.get(tid, 0.0) for tid, _, _ in incidences])
+    weights = np.array([hypergraph.weights.get(tid, 0.0) for tid in tables])
     scores = np.divide(
-        similarity, weights, out=np.zeros(len(incidences)), where=weights > 0
+        similarity, weights, out=np.zeros_like(similarity), where=weights > 0
     )
-    tables = [tid for tid, _, _ in incidences]
-    columns = [cid for _, cid, _ in incidences]
     # Descending score, ties by ascending (table, column).
     top = np.lexsort((columns, tables, -scores))[: config.h].tolist()
     return [
-        SemanticEntity(
-            table=tables[i],
-            column=columns[i],
-            surface=incidences[i][2],
-            score=float(scores[i]),
-        )
+        SemanticEntity(tables[i], columns[i], surfaces[i], float(scores[i]))
         for i in top
     ]
 

@@ -137,19 +137,13 @@ def embed_batch(
     config: SimilarityConfig,
     stats: CorpusStats | None = None,
 ) -> np.ndarray:
-    """Embed many texts; one HTTP round trip when the provider is external."""
+    """Embed many texts. The external provider takes one HTTP round trip and
+    ignores ``stats``."""
     if config.embedder == "external":
         return _external_embed(texts, config)
-    return hashed_vectors([token_counts(t) for t in texts], config, stats)
-
-
-def hashed_vectors(
-    counts: Sequence[Counter[str]], config: SimilarityConfig, stats: CorpusStats | None
-) -> np.ndarray:
-    """The built-in embedder's unit-norm vectors (zero for empty documents)
-    of documents given by their term counts, one row each."""
+    counts = [token_counts(t) for t in texts]
     docs, buckets, weights, _ = _hashed_rows(counts, config, stats)
-    vectors = np.zeros((len(counts), config.dimension), dtype=np.float64)
+    vectors = np.zeros((len(texts), config.dimension), dtype=np.float64)
     vectors[docs, buckets] = weights
     return vectors
 
@@ -333,16 +327,17 @@ class _Postings:
 class Corpus:
     """One scored document set, indexed once into posting lists.
 
-    Documents come as term counts (``token_counts``) with the statistics of
-    those counts. BM25 indexes every term's documents with their term
-    frequencies. Cosine indexes every hash bucket's documents with their
-    weights, taken from ``vectors`` when given (the external embedder's, one
-    row per document) and otherwise computed from the counts by the built-in
-    embedder; it also keeps each row's 1-D norm.
+    Documents come as term counts (``token_counts``); the corpus computes
+    their statistics (``stats``) itself. BM25 indexes every term's documents
+    with their term frequencies. Cosine indexes every hash bucket's documents
+    with their weights, taken from ``vectors`` when given (the external
+    embedder's, one row per document) and otherwise computed from the counts
+    by the built-in embedder; it also keeps each row's 1-D norm.
 
     :meth:`score` applies ``bm25_score``'s or ``cosine_sim``'s arithmetic in
     their order, one question term or bucket at a time, so its scores equal
-    theirs bit for bit. A corpus is read-only after construction and
+    theirs bit for bit. It scores every document: callers select their
+    candidates from the array. A corpus is read-only after construction and
     ``score`` allocates its accumulator per call, so one corpus serves
     concurrent queries.
     """
@@ -351,11 +346,10 @@ class Corpus:
         self,
         counts: Sequence[Counter[str]],
         config: SimilarityConfig,
-        stats: CorpusStats,
         vectors: np.ndarray | None = None,
     ) -> None:
         self.config = config
-        self.stats = stats
+        self.stats = corpus_stats(counts)
         self.vectors = vectors  # (documents, dimension) when given
         self._size = len(counts)
         if config.metric == "bm25":
@@ -395,29 +389,25 @@ class Corpus:
         self._buckets = _Postings.group(buckets, docs, weights, self.config.dimension)
         self._norms = np.array(norms, dtype=np.float64)
 
-    def score(
-        self, question: str, qvec: np.ndarray | None, ids: Sequence[int]
-    ) -> np.ndarray:
-        """Similarity of the question to each listed document, in ``ids``
-        order. Cosine needs the question's vector ``qvec``; BM25 ignores it.
+    def score(self, question: str, qvec: np.ndarray | None) -> np.ndarray:
+        """Similarity of the question to every document, in id order.
+        Cosine needs the question's vector ``qvec``; BM25 ignores it.
         """
-        ids = np.asarray(ids, dtype=np.int64)
         acc = np.zeros(self._size, dtype=np.float64)
         if self.config.metric == "bm25":
             self._add_bm25(acc, question)
-            return acc[ids]
+            return acc
         qnorm = float(np.linalg.norm(qvec))
         if qnorm == 0.0:
-            return np.zeros(len(ids), dtype=np.float64)
+            return acc
         postings = self._buckets
         indptr, docs, weights = postings.indptr, postings.docs, postings.values
         for bucket in np.flatnonzero(qvec).tolist():
             lo, hi = indptr[bucket], indptr[bucket + 1]
             if lo < hi:
                 acc[docs[lo:hi]] += qvec[bucket] * weights[lo:hi]
-        denom = qnorm * self._norms[ids]
-        out = np.zeros(len(ids), dtype=np.float64)
-        return np.divide(acc[ids], denom, out=out, where=denom != 0.0)
+        denom = qnorm * self._norms
+        return np.divide(acc, denom, out=np.zeros_like(acc), where=denom != 0.0)
 
     def _add_bm25(self, acc: np.ndarray, question: str) -> None:
         stats, postings = self.stats, self._terms

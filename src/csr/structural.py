@@ -10,7 +10,7 @@ table, so a table scope selects candidate ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .catalog import ColumnId, SchemaCatalog, TableId
 from .similarity import (
     Corpus,
     SimilarityConfig,
-    corpus_stats,
     embed,
     embed_batch,
     token_counts,
@@ -49,6 +48,7 @@ class KnowledgeGraph:
 class StructuralResult:
     ranked_triplets: list[tuple[int, float]]  # (triplet index, score)
     tables: set[TableId]
+    scores: np.ndarray = field(repr=False, compare=False)  # every triplet's, in order
 
 
 def triplet_surface(
@@ -89,13 +89,12 @@ def build_knowledge_graph(
         table_spans[table.id] = (first, len(triplets))
 
     surfaces = [t.surface for t in triplets]
-    counts = [token_counts(surface) for surface in surfaces]
-    stats = corpus_stats(counts)
     if vectors is None and config.embedder == "external":
-        vectors = embed_batch(surfaces, config, stats)
+        vectors = embed_batch(surfaces, config)
+    counts = [token_counts(surface) for surface in surfaces]
     return KnowledgeGraph(
         triplets=triplets,
-        corpus=Corpus(counts, config, stats, vectors),
+        corpus=Corpus(counts, config, vectors),
         table_spans=table_spans,
     )
 
@@ -105,12 +104,15 @@ def retrieve_structural(
     question: str,
     l: int,
     scope: set[TableId] | None = None,
+    scores: np.ndarray | None = None,
 ) -> StructuralResult:
     """Top-l triplets by similarity between the question and each surface.
 
     A scope restricts the candidate triplets to in-scope tables before
     ranking; ties break by ascending (table, column), which is the triplet
     construction order. ``l`` at or beyond the candidate count returns all.
+    Given ``scores``, an earlier result's array for this question, nothing
+    is scored again.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -122,11 +124,11 @@ def retrieve_structural(
             [np.arange(first, end) for first, end in spans] or [np.arange(0)]
         )
 
-    corpus = graph.corpus
-    qvec = None
-    if corpus.config.metric == "cosine":
-        qvec = embed(question, corpus.config, corpus.stats)
-    scores = corpus.score(question, qvec, candidate_ids)
-    ranked = top_k_exact(scores, candidate_ids, l)
+    if scores is None:
+        corpus = graph.corpus
+        cosine = corpus.config.metric == "cosine"
+        qvec = embed(question, corpus.config, corpus.stats) if cosine else None
+        scores = corpus.score(question, qvec)
+    ranked = top_k_exact(scores[candidate_ids], candidate_ids, l)
     tables = {graph.triplets[i].table for i, _ in ranked}
-    return StructuralResult(ranked_triplets=ranked, tables=tables)
+    return StructuralResult(ranked_triplets=ranked, tables=tables, scores=scores)

@@ -153,14 +153,15 @@ def stub_provider():
     ``state["mode"]`` to make it misbehave, and back to "ok" after. Modes:
     "reject" (HTTP 500), "created" (HTTP 201), "slow" (answers after
     ``SLOW_PROVIDER_S``), "not_json", "wrong_dim", "nan", "ragged", and
-    "short" (one vector too few)."""
-    state = {"mode": "ok"}
+    "short" (one vector too few). ``state["posts"]`` counts the requests."""
+    state = {"mode": "ok", "posts": 0}
 
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, *args):
             pass
 
         def do_POST(self):
+            state["posts"] += 1
             length = int(self.headers.get("Content-Length", "0"))
             texts = json.loads(self.rfile.read(length))["texts"]
             mode = state["mode"]
@@ -207,6 +208,16 @@ def external_config(endpoint: str) -> SimilarityConfig:
         external_endpoint=endpoint,
         external_timeout=5.0,
     )
+
+
+def counted(original, calls: list):
+    """``original``, recording each call's first argument in ``calls``."""
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    return wrapper
 
 
 def write_sealed_manifest(path, doc: dict) -> None:

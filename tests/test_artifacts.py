@@ -60,14 +60,12 @@ def test_save_then_load_round_trips(built, tmp_path):
     r_catalog, r_index, r_graph, r_config, r_manifest = load_index(tmp_path)
     assert to_document(r_catalog) == to_document(catalog)
     question = "customer emails in the west region"
-    for before, after, size in (
-        (index.corpus, r_index.corpus, len(index)),
-        (graph.corpus, r_graph.corpus, len(graph)),
-    ):
+    pairs = ((index.corpus, r_index.corpus), (graph.corpus, r_graph.corpus))
+    for before, after in pairs:
         qvec = embed(question, after.config, after.stats)
-        scores = after.score(question, qvec, range(size))
+        scores = after.score(question, qvec)
         assert scores.any()
-        assert np.array_equal(scores, before.score(question, qvec, range(size)))
+        assert np.array_equal(scores, before.score(question, qvec))
     assert [c.contextualized for c in r_index.chunks] == [
         c.contextualized for c in index.chunks
     ]
@@ -197,6 +195,22 @@ def test_manifest_must_list_exactly_the_format_files(built, tmp_path, edit):
     edit(doc["files"])
     write_sealed_manifest(manifest_path, doc)
     with pytest.raises(ArtifactError, match="manifest lists"):
+        load_index(tmp_path)
+
+
+def test_unavailable_tables_must_name_catalog_tables(built, tmp_path):
+    catalog, index, graph, config = built
+    misspelled = dataclasses.replace(config, unavailable_tables=("orders", "ordrs"))
+    with pytest.raises(ArtifactError, match="'ordrs'"):
+        save_index(tmp_path / "bad", catalog, index, graph, misspelled)
+    assert not (tmp_path / "bad").exists()
+
+    save_index(tmp_path, catalog, index, graph, config)
+    manifest_path = tmp_path / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["config"]["unavailable_tables"] = ["ordrs"]
+    write_sealed_manifest(manifest_path, doc)
+    with pytest.raises(ArtifactError, match="'ordrs'"):
         load_index(tmp_path)
 
 

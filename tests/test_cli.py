@@ -52,6 +52,15 @@ class TestIndex:
         assert "tables[1].columns[2]: primary_key" in error
         assert not out.exists()
 
+    def test_misspelled_override_table_exits_2_naming_it(self, inputs, capsys):
+        trace = inputs[1]
+        line = {"question": "open orders", "sql": "SELECT total FROM orders"}
+        trace.write_text(json.dumps(dict(line, tables=["ordrs"])) + "\n")
+        code, out, captured = _index(inputs, capsys)
+        assert code == 2
+        assert "'ordrs'" in json.loads(captured.err)["error"]
+        assert not out.exists()
+
     def test_missing_schema_exits_2_with_path(self, inputs, capsys):
         _, trace, tmp_path = inputs
         code = main(
@@ -162,6 +171,7 @@ class TestIndex:
             ({"contextual_scope_mode": "bogus"}, "contextual_scope_mode"),
             ({"unavailable_tables": "audit_map"}, "unavailable_tables"),
             ({"unavailable_tables": [1]}, "unavailable_tables"),
+            ({"unavailable_tables": ["orders", "ordrs"]}, "'ordrs'"),
             (
                 {"schedule": {"steps": [[4, 8, 6]], "scope_combin": "intersection"}},
                 "scope_combin",
@@ -184,6 +194,7 @@ class TestIndex:
             "scope-mode",
             "unavailable-string",
             "unavailable-number",
+            "unavailable-misspelled",
             "schedule-typo",
             "float-dimension",
             "float-h",

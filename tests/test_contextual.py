@@ -91,10 +91,9 @@ class TestBuildIndex:
         b = build_chunk_index(SHOP_TRACE, shop_catalog, small_config)
         question = "customer order totals"
         qvec = embed(question, small_config, a.corpus.stats)
-        ids = range(len(a))
-        scores = a.corpus.score(question, qvec, ids)
-        assert scores.any()
-        assert np.array_equal(scores, b.corpus.score(question, qvec, ids))
+        scores = a.corpus.score(question, qvec)
+        assert len(scores) == len(a) and scores.any()
+        assert np.array_equal(scores, b.corpus.score(question, qvec))
         assert a.corpus.stats.doc_freq == b.corpus.stats.doc_freq
         assert [c.contextualized for c in a.chunks] == [
             c.contextualized for c in b.chunks
@@ -117,6 +116,17 @@ class TestBuildIndex:
         rel = index.chunks[0].relevant
         assert rel.table_names(shop_catalog) == {"orders"}
         assert all(tid in rel.tables for tid, _ in rel.columns)
+
+    def test_misspelled_override_table_is_rejected(self, shop_catalog, small_config):
+        trace = [
+            {
+                "question": "open orders",
+                "sql": "SELECT total FROM orders",
+                "tables": ["orders", "ordrs"],
+            }
+        ]
+        with pytest.raises(ValueError, match="no table named 'ordrs'"):
+            build_chunk_index(trace, shop_catalog, small_config)
 
     def test_group2_scale_build_under_frozen_threshold(self):
         catalog, trace = generate_synthetic(GeneratorProfile())

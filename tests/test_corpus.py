@@ -41,8 +41,7 @@ def candidate_ids(data, n):
 
 
 def corpus_of(texts, config, vectors=None):
-    counts = [token_counts(t) for t in texts]
-    return Corpus(counts, config, corpus_stats(counts), vectors)
+    return Corpus([token_counts(t) for t in texts], config, vectors)
 
 
 @given(texts_st, question_st, configs, st.data())
@@ -55,8 +54,9 @@ def test_bm25_equals_bm25_score(texts, question, config, data):
     corpus = corpus_of(texts, config)
     ids = candidate_ids(data, len(texts))
     stats = build_corpus_stats(texts)
+    assert corpus.stats == stats
     want = [bm25_score(question, texts[i], stats, config) for i in ids]
-    assert corpus.score(question, None, ids).tolist() == want
+    assert corpus.score(question, None)[ids].tolist() == want
 
 
 @given(texts_st, question_st, configs, st.data())
@@ -69,9 +69,9 @@ def test_hashed_cosine_equals_cosine_sim(texts, question, config, data):
     want = [cosine_sim(qvec, vectors[i]) for i in ids]
     # Postings from the built-in embedder's sparse rows (as in relational
     # ranking) and from a dense matrix (as in a loaded index) agree.
-    assert corpus_of(texts, config).score(question, qvec, ids).tolist() == want
+    assert corpus_of(texts, config).score(question, qvec)[ids].tolist() == want
     dense = corpus_of(texts, config, vectors)
-    assert dense.score(question, qvec, ids).tolist() == want
+    assert dense.score(question, qvec)[ids].tolist() == want
 
 
 @given(
@@ -93,7 +93,7 @@ def test_dense_external_vectors_equal_cosine_sim(rows, dimension, seed, data):
     corpus = corpus_of(texts, config, vectors)
     ids = candidate_ids(data, rows)
     want = [cosine_sim(qvec, vectors[i]) for i in ids]
-    assert corpus.score("unused", qvec, ids).tolist() == want
+    assert corpus.score("unused", qvec)[ids].tolist() == want
 
 
 def test_zero_question_and_empty_documents_score_zero():
@@ -101,9 +101,9 @@ def test_zero_question_and_empty_documents_score_zero():
     texts = ["", "order total", "--"]
     corpus = corpus_of(texts, config)
     stats = build_corpus_stats(texts)
-    assert corpus.score("?!", embed("?!", config, stats), [0, 1, 2]).tolist() == [0.0] * 3
+    assert corpus.score("?!", embed("?!", config, stats)).tolist() == [0.0] * 3
     qvec = embed("order", config, stats)
-    scores = corpus.score("order", qvec, [2, 1, 0]).tolist()
+    scores = corpus.score("order", qvec).tolist()
     assert scores[0] == scores[2] == 0.0 and scores[1] > 0.0
 
 
@@ -114,7 +114,7 @@ def test_underflowing_norm_product_scores_zero_in_both():
     vectors = np.stack([tiny, np.ones(64)])
     corpus = corpus_of(["a", "b"], config, vectors)
     assert cosine_sim(tiny, tiny) == 0.0
-    assert corpus.score("unused", tiny, [0, 1]).tolist() == [
+    assert corpus.score("unused", tiny).tolist() == [
         cosine_sim(tiny, vectors[0]),
         cosine_sim(tiny, vectors[1]),
     ]
@@ -124,8 +124,8 @@ def test_duplicate_question_terms_count_twice():
     config = SimilarityConfig(metric="bm25", dimension=64)
     texts = ["order total", "customer id", "order order item"]
     corpus = corpus_of(texts, config)
-    once = corpus.score("order", None, [0, 2])
-    twice = corpus.score("order order", None, [0, 2])
+    once = corpus.score("order", None)
+    twice = corpus.score("order order", None)
     assert twice.tolist() == [2 * s for s in once.tolist()]
 
 

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 import requests
 
+from csr import contextual, relational, structural
 from csr.artifacts import load_index, save_index
 from csr.cli import main
 from csr.contextual import build_chunk_index, retrieve_contextual
-from csr.pipeline import PipelineConfig
+from csr.pipeline import PipelineConfig, default_schedule, run_pipeline
 from csr.service import RetrievalService, make_server
 from csr.similarity import (
     EmbeddingProviderError,
@@ -23,7 +24,7 @@ from csr.similarity import (
 )
 from csr.structural import build_knowledge_graph
 
-from conftest import DIMENSION, SHOP_DOCUMENT, SHOP_TRACE, external_config
+from conftest import DIMENSION, SHOP_DOCUMENT, SHOP_TRACE, counted, external_config
 
 CLOSED_ENDPOINT = "http://127.0.0.1:9/embed"  # nothing listens there
 
@@ -137,6 +138,27 @@ class TestExternalProvider:
         assert len(index) == len(SHOP_TRACE)
         result = retrieve_contextual(index, "open orders", k=2)
         assert len(result.ranked_chunks) == 2
+
+    def test_one_query_posts_once_per_embedding(
+        self, stub_provider, shop_catalog, monkeypatch
+    ):
+        endpoint, state = stub_provider
+        state["mode"] = "ok"
+        config = PipelineConfig(similarity=external_config(endpoint))
+        index = build_chunk_index(SHOP_TRACE, shop_catalog, config.similarity)
+        graph = build_knowledge_graph(shop_catalog, config.similarity)
+        calls = {module: [] for module in (contextual, structural, relational)}
+        for module, made in calls.items():
+            for name in ("embed", "embed_batch"):
+                monkeypatch.setattr(module, name, counted(getattr(module, name), made))
+        schedule = default_schedule(len(shop_catalog.tables))
+        assert len(schedule.steps) == 3
+        before = state["posts"]
+        run_pipeline("open orders", index, graph, shop_catalog, schedule, config)
+        assert state["posts"] - before == 4
+        # The question once per narrowing corpus; the entity surfaces and
+        # the question for the relational ranking.
+        assert [len(made) for made in calls.values()] == [1, 1, 2]
 
 
 class TestUnreachableProvider:

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from csr import contextual, relational, structural
 from csr.catalog import load_catalog
 
 from csr.contextual import build_chunk_index, retrieve_contextual
@@ -18,10 +19,11 @@ from csr.pipeline import (
     run_pipeline,
 )
 from csr.relational import build_hypergraph, hypergraph_rank
-from csr.similarity import SimilarityConfig
+from csr.similarity import Corpus, SimilarityConfig
 from csr.structural import build_knowledge_graph, retrieve_structural
+from csr.synthetic import GeneratorProfile, generate_synthetic
 
-from conftest import SHOP_DOCUMENT, SHOP_TRACE
+from conftest import SHOP_DOCUMENT, SHOP_TRACE, counted
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +209,80 @@ class TestNarrow:
             clocks = [getattr(t, f"{stage}_us") for t in output.per_stage]
             assert output.timings[stage] == sum(clocks)
             assert all(us >= 0 for us in clocks)
+
+
+@pytest.fixture(scope="module")
+def generated_inputs():
+    return generate_synthetic(GeneratorProfile(table_count=60, query_count=80, seed=21))
+
+
+class TestScoreReuse:
+    """Each narrowing corpus scores the question once per query; the later
+    iterations select from that score array."""
+
+    @pytest.mark.parametrize("metric", ["cosine", "bm25"])
+    def test_one_embedding_and_one_score_per_corpus(
+        self, generated_inputs, monkeypatch, metric
+    ):
+        catalog, trace = generated_inputs
+        config = PipelineConfig(similarity=SimilarityConfig(metric=metric))
+        index = build_chunk_index(trace, catalog, config.similarity)
+        graph = build_knowledge_graph(catalog, config.similarity)
+        embedded, scored = [], []
+        for module in (contextual, structural, relational):
+            monkeypatch.setattr(module, "embed", counted(module.embed, embedded))
+        monkeypatch.setattr(Corpus, "score", counted(Corpus.score, scored))
+        schedule = default_schedule(len(catalog.tables))
+        assert len(schedule.steps) == 3
+        run_pipeline(trace[3]["question"], index, graph, catalog, schedule, config)
+        # One question embedding each for the chunks, triplets and entities.
+        assert len(embedded) == (3 if metric == "cosine" else 0)
+        assert scored.count(index.corpus) == 1
+        assert scored.count(graph.corpus) == 1
+
+    @pytest.mark.parametrize("metric", ["cosine", "bm25"])
+    @pytest.mark.parametrize("scope_mode", ["intersect", "filter_chunks"])
+    @pytest.mark.parametrize("combine", ["union", "intersection"])
+    def test_narrow_equals_fresh_retrieval_each_iteration(
+        self, generated_inputs, metric, scope_mode, combine
+    ):
+        catalog, trace = generated_inputs
+        sim = SimilarityConfig(metric=metric)
+        index = build_chunk_index(trace, catalog, sim)
+        graph = build_knowledge_graph(catalog, sim)
+        schedule = IterationSchedule(
+            steps=((12, 60, 8), (6, 20, 8), (3, 8, 8)), scope_combine=combine
+        )
+        completed = 0
+        for entry in trace[3::8]:
+            question = entry["question"]
+            try:
+                traces = narrow(question, index, graph, schedule, scope_mode)
+                completed += 1
+            except ScopeCollapsedError as exc:
+                traces = exc.per_stage
+            fresh, scope = [], None
+            for k, l, _h in schedule.steps[: len(traces)]:
+                ctx = retrieve_contextual(index, question, k, scope, scope_mode)
+                stru = retrieve_structural(graph, question, l, scope)
+                if scope is None:
+                    ctx_scores, stru_scores = ctx.scores, stru.scores
+                # The first call's scores, passed back, give the fresh result.
+                assert ctx == retrieve_contextual(
+                    index, question, k, scope, scope_mode, ctx_scores
+                )
+                assert stru == retrieve_structural(
+                    graph, question, l, scope, stru_scores
+                )
+                if combine == "intersection":
+                    scope = ctx.tables & stru.tables
+                else:
+                    scope = ctx.tables | stru.tables
+                fresh.append((ctx.tables, stru.tables, scope))
+            assert [
+                (t.contextual_tables, t.structural_tables, t.scope) for t in traces
+            ] == fresh
+        assert completed > 0
 
 
 class TestPipelineConfig:

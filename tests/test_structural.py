@@ -74,10 +74,9 @@ class TestBuild:
         assert [t.surface for t in a.triplets] == [t.surface for t in b.triplets]
         question = "customer email address"
         qvec = embed(question, small_config, a.corpus.stats)
-        ids = range(len(a))
-        scores = a.corpus.score(question, qvec, ids)
-        assert scores.any()
-        assert np.array_equal(scores, b.corpus.score(question, qvec, ids))
+        scores = a.corpus.score(question, qvec)
+        assert len(scores) == len(a) and scores.any()
+        assert np.array_equal(scores, b.corpus.score(question, qvec))
 
     @pytest.mark.parametrize(
         "tables,columns", [(50, 701), (100, 1486), (200, 2567), (246, 3021)]
