@@ -34,6 +34,7 @@ from .catalog import (
     from_document,
     load_catalog,
     lookup_tables,
+    parse_json,
     to_document,
 )
 from .contextual import ChunkIndex, index_labelled_chunks
@@ -209,9 +210,9 @@ def load_index(
         return data
 
     # Decoded first, so the bytes are freed before the text is parsed.
-    catalog = load_catalog(json.loads(verified("catalog.json").decode("utf-8")))
+    catalog = load_catalog(parse_json(verified("catalog.json").decode("utf-8")))
     _check_unavailable(catalog, config)
-    chunk_doc = json.loads(verified("chunks.json").decode("utf-8"))
+    chunk_doc = parse_json(verified("chunks.json").decode("utf-8"))
     labelled = []
     try:
         for i, cdoc in enumerate(chunk_doc["chunks"]):
@@ -243,7 +244,7 @@ def _read_manifest(path: Path) -> dict:
     """The manifest document, or ArtifactError unless it is an object with a
     format version."""
     try:
-        manifest = json.loads(path.read_bytes())
+        manifest = parse_json(path.read_bytes())
     except ValueError as exc:
         raise ArtifactError(f"malformed manifest: {exc!r}") from exc
     if not isinstance(manifest, dict) or "format_version" not in manifest:

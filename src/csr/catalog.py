@@ -52,12 +52,21 @@ def from_document(cls, doc, name: str, **parsers):
         raise ValueError(f"invalid {name}: {exc}") from exc
 
 
+def parse_json(text: str | bytes):
+    """``json.loads``, except that a document nested too deeply for the
+    parser is a ``ValueError`` like any other invalid JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def read_json(path: str | Path):
     """The JSON document in the file at ``path``. Bytes that are not UTF-8
     JSON text are a ``ValueError`` that starts with the path."""
     raw = Path(path).read_bytes()
     try:
-        return json.loads(raw.decode("utf-8"))
+        return parse_json(raw.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 

@@ -12,11 +12,19 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
 from .artifacts import ArtifactError, load_index, save_index
-from .catalog import CatalogError, check_types, from_document, load_catalog, read_json
+from .catalog import (
+    CatalogError,
+    check_types,
+    from_document,
+    load_catalog,
+    parse_json,
+    read_json,
+)
 from .contextual import build_chunk_index
 from .evaluation import (
     default_sweep_schedules,
@@ -76,7 +84,7 @@ def _load_trace(path: str | Path) -> list[dict]:
             if not line.strip():
                 continue
             try:
-                entry = from_document(TraceEntry, json.loads(line), "trace entry")
+                entry = from_document(TraceEntry, parse_json(line), "trace entry")
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
             entries.append(dataclasses.asdict(entry))
@@ -210,8 +218,9 @@ def cmd_serve(args) -> int:
         graph=graph,
         config=config,
         schema_version=manifest["schema_version"],
-        max_concurrent=args.max_concurrent,
     )
+    # Process managers stop a service with SIGTERM: drain it like Ctrl-C.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     serve_forever(service, host or "127.0.0.1", port)
     return EXIT_OK
 
@@ -267,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the retrieval HTTP service")
     p.add_argument("--index", required=True, help="index directory")
     p.add_argument("--bind", default="127.0.0.1:8080")
-    p.add_argument("--max-concurrent", type=int, default=8)
     p.set_defaults(func=cmd_serve)
     return parser
 

@@ -5,24 +5,26 @@ Endpoints:
   GET  /v1/health    liveness plus the loaded schema version
   GET  /v1/stats     catalog shape and index sizes
 
-All indexes are loaded once and never mutated, so any number of requests may
-be served concurrently; a semaphore caps how many retrievals run at once, and
-at most ``MAX_QUEUED`` more wait for a slot. ``pipeline.answer`` answers the
+All indexes are loaded once and never mutated. Every stage is CPU-bound
+Python under one interpreter lock, so retrievals run one at a time (on the
+serve-246 benchmark this beat eight at once on latency and throughput), and
+at most ``MAX_QUEUED`` more requests wait. ``pipeline.answer`` answers the
 body's ``QueryRequest``, as it answers ``csr query``. Responses are
 deterministic for identical requests; stage timings are only attached when a
 request explicitly asks for them. Errors are JSON: 400 for an invalid
-request (not an object, an unknown key, a wrongly typed value), 422 when
-the scope collapses, 502 with the provider's ``kind`` when the external
-embedder fails, 503 at once when the queue is full, and 500, without the
-traceback, for any other fault during retrieval. A request body is bounded:
-a ``Content-Length`` that is not a non-negative integer is a 400 and one
-above ``MAX_BODY_BYTES`` a 413, both sent without reading the body, and a
+request (not an object, an unknown key, a wrongly typed value, JSON nested
+too deeply to parse), 422 when the scope collapses, 502 with the provider's
+``kind`` when the external embedder fails, 503 at once when the queue is
+full, 500, without the traceback, for any other fault during retrieval, and
+the standard library's own errors too (a 501 for PUT). A request body is
+bounded: a ``Content-Length`` that is not a non-negative integer is a 400 and
+one above ``MAX_BODY_BYTES`` a 413, both sent without reading the body, and a
 connection that stays silent for ``SOCKET_TIMEOUT_S`` (a body shorter than
 its header, say) is closed. Shutdown stops accepting connections and drains
-in-flight handlers. At most one handler thread more than the running plus
-queued retrievals runs at once, so a full queue still answers 503; further
-connections wait in the listen backlog, and a client that hangs up before
-its reply costs one debug log line, not a traceback.
+in-flight handlers. At most ``MAX_QUEUED + 2`` handler threads run, one more
+than the running and waiting requests, so a full queue still answers 503;
+further connections wait in the listen backlog, and a client that hangs up
+before its reply costs one debug log line, not a traceback.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .catalog import SchemaCatalog, catalog_stats, is_int
+from .catalog import SchemaCatalog, catalog_stats, parse_json
 from .contextual import ChunkIndex
 from .pipeline import PipelineConfig, QueryRequest, ScopeCollapsedError, answer
 from .similarity import EmbeddingProviderError
@@ -44,7 +46,7 @@ logger = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 1 << 20  # largest accepted request body
 SOCKET_TIMEOUT_S = 10.0  # longest wait for any read or write on a connection
-MAX_QUEUED = 32  # most requests that may wait for a free retrieval slot
+MAX_QUEUED = 32  # most requests that may wait while one retrieval runs
 
 
 @dataclass
@@ -54,16 +56,11 @@ class RetrievalService:
     graph: KnowledgeGraph
     config: PipelineConfig
     schema_version: str
-    max_concurrent: int = 8
-    _gate: threading.Semaphore = field(init=False, repr=False)
-    _admitted: threading.Semaphore = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not is_int(self.max_concurrent) or self.max_concurrent < 1:
-            raise ValueError("max_concurrent must be an integer >= 1")
-        self._gate = threading.Semaphore(self.max_concurrent)
-        # Running plus waiting requests; any beyond are shed with a 503.
-        self._admitted = threading.Semaphore(self.max_concurrent + MAX_QUEUED)
+    _running: threading.Lock = field(default_factory=threading.Lock, init=False)
+    # The running request plus the waiting ones; any beyond are shed with a 503.
+    _admitted: threading.Semaphore = field(
+        default_factory=lambda: threading.Semaphore(1 + MAX_QUEUED), init=False
+    )
 
     def retrieve(self, request_doc) -> tuple[int, dict]:
         try:
@@ -73,7 +70,7 @@ class RetrievalService:
         if not self._admitted.acquire(blocking=False):
             return 503, {"error": f"busy: {MAX_QUEUED} requests already waiting"}
         try:
-            with self._gate:
+            with self._running:
                 payload = answer(
                     request,
                     self.chunk_index,
@@ -169,6 +166,18 @@ def make_server(service: RetrievalService, host: str, port: int) -> ThreadingHTT
             self.end_headers()
             self.wfile.write(body)
 
+        def send_error(self, code, message=None, explain=None) -> None:
+            # The standard library's own errors (an unsupported method, a
+            # malformed request line) as JSON too. Like its HTML page, they
+            # carry no body for HEAD or a status that allows none.
+            if self.command == "HEAD" or code < 200 or code in (204, 304):
+                self.send_response(code, message)
+                self.send_header("Connection", "close")
+                self.close_connection = True
+                self.end_headers()
+            else:
+                self._send(code, {"error": message or self.responses[code][0]})
+
         def do_GET(self) -> None:
             if self.path == "/v1/health":
                 self._send(*service.health())
@@ -193,15 +202,14 @@ def make_server(service: RetrievalService, host: str, port: int) -> ThreadingHTT
                 return
             try:
                 raw = self.rfile.read(length)
-                doc = json.loads(raw) if raw else {}
-            except (ValueError, json.JSONDecodeError) as exc:
+                doc = parse_json(raw) if raw else {}
+            except ValueError as exc:
                 self._send(400, {"error": f"malformed request body: {exc}"})
                 return
             self._send(*service.retrieve(doc))
 
-    # Every admitted retrieval may hold a thread; the spare one answers 503.
-    threads = service.max_concurrent + MAX_QUEUED + 1
-    return _BoundedServer((host, port), Handler, threads)
+    # Every admitted request may hold a thread; the spare one answers 503.
+    return _BoundedServer((host, port), Handler, MAX_QUEUED + 2)
 
 
 def serve_forever(service: RetrievalService, host: str, port: int) -> None:

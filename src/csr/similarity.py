@@ -29,7 +29,7 @@ from typing import Literal
 
 import numpy as np
 
-from .catalog import check_types
+from .catalog import check_types, parse_json
 
 _TOKEN = re.compile(r"[0-9a-z]+")
 
@@ -227,7 +227,7 @@ def _external_embed(texts: list[str], config: SimilarityConfig) -> np.ndarray:
         )
     try:
         # numpy raises ValueError for ragged or non-numeric rows.
-        arr = np.asarray(json.loads(body)["vectors"], dtype=np.float64)
+        arr = np.asarray(parse_json(body)["vectors"], dtype=np.float64)
         count = len(arr)
     except (ValueError, KeyError, TypeError) as exc:
         raise EmbeddingProviderError(

@@ -140,6 +140,9 @@ def small_config():
 # External embedder served in-process; 128 dimensions like small_config.
 DIMENSION = 128
 SLOW_PROVIDER_S = 0.5  # how long the stub's "slow" mode waits to answer
+# Valid JSON of 200 KB, under every size bound, but nested too deeply for
+# json.loads, which raises RecursionError on it.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 
 
 def stub_vector(text: str, dimension: int) -> list[float]:
@@ -153,7 +156,8 @@ def stub_provider():
     ``state["mode"]`` to make it misbehave, and back to "ok" after. Modes:
     "reject" (HTTP 500), "created" (HTTP 201), "slow" (answers after
     ``SLOW_PROVIDER_S``), "not_json", "wrong_dim", "nan", "ragged", and
-    "short" (one vector too few). ``state["posts"]`` counts the requests."""
+    "short" (one vector too few), and "nested" (a body of ``DEEP_JSON``).
+    ``state["posts"]`` counts the requests."""
     state = {"mode": "ok", "posts": 0}
 
     class Handler(BaseHTTPRequestHandler):
@@ -184,6 +188,8 @@ def stub_provider():
             body = json.dumps({"vectors": vectors}).encode()
             if mode == "not_json":
                 body = body[:-1]
+            if mode == "nested":
+                body = DEEP_JSON
             self.send_response(201 if mode == "created" else 200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))

@@ -1,13 +1,20 @@
 import copy
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+import requests
 
 from csr import cli as cli_module
 from csr.cli import main
 
-from conftest import SHOP_DOCUMENT, SHOP_TRACE
+from conftest import DEEP_JSON, SHOP_DOCUMENT, SHOP_TRACE
 
 
 @pytest.fixture()
@@ -17,6 +24,25 @@ def inputs(tmp_path):
     trace = tmp_path / "trace.jsonl"
     trace.write_text("\n".join(json.dumps(e) for e in SHOP_TRACE))
     return schema, trace, tmp_path
+
+
+# `csr serve`, but each retrieval says so on stdout and then takes a second,
+# so that a test can stop the server while one is in flight.
+_SLOW_SERVE = """
+import logging, sys, time
+from csr import cli, pipeline
+
+run_pipeline = pipeline.run_pipeline
+
+def slow_run_pipeline(*args):
+    print("retrieving", flush=True)
+    time.sleep(1)
+    return run_pipeline(*args)
+
+pipeline.run_pipeline = slow_run_pipeline
+logging.basicConfig(level=logging.INFO, stream=sys.stdout, format="%(message)s")
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 def _index(inputs, capsys):
@@ -240,8 +266,16 @@ class TestIndex:
             ('{"question": "open orders", "sql": ""}', "sql"),
             ('{"question": "open orders", "sql": "SELECT 1 FROM orders", "tables": "x"}', "tables"),
             ('{"question": "open orders"}', "sql"),
+            (DEEP_JSON.decode(), "nested too deeply"),
         ],
-        ids=["json-string", "numeric-question", "empty-sql", "string-tables", "no-sql"],
+        ids=[
+            "json-string",
+            "numeric-question",
+            "empty-sql",
+            "string-tables",
+            "no-sql",
+            "nested-too-deeply",
+        ],
     )
     def test_invalid_trace_line_exits_2_naming_it(self, inputs, capsys, line, named):
         schema, trace, tmp_path = inputs
@@ -351,6 +385,15 @@ class TestQuery:
         captured = capsys.readouterr()
         assert code == 2
         assert "version mismatch" in json.loads(captured.err)["error"]
+
+    def test_too_deeply_nested_manifest_exits_2(self, inputs, capsys):
+        _, out, _ = _index(inputs, capsys)
+        (out / "manifest.json").write_bytes(DEEP_JSON)
+        code = main(["query", "--index", str(out), "open orders"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert "nested too deeply" in json.loads(err[0])["error"]
 
     def test_missing_index_dir_exits_2(self, tmp_path, capsys):
         code = main(["query", "--index", str(tmp_path / "nope"), "q"])
@@ -475,26 +518,38 @@ class TestEvalAndBench:
             assert captured.err.count("\n") == 1, captured.err
             assert "bind" in json.loads(captured.err)["error"]
 
-    @pytest.mark.parametrize("slots", ["0", "-1"])
-    def test_serve_without_slots_exits_2_before_binding(
-        self, inputs, capsys, monkeypatch, slots
-    ):
-        _, out, _ = _index(inputs, capsys)
-
-        def no_bind(*args):
-            raise AssertionError("serve must not bind without a retrieval slot")
-
-        monkeypatch.setattr(cli_module, "serve_forever", no_bind)
-        code = main(["serve", "--index", str(out), "--max-concurrent", slots])
-        err = capsys.readouterr().err.strip().splitlines()
-        assert code == 2
-        assert len(err) == 1
-        assert "max_concurrent" in json.loads(err[0])["error"]
-
     def test_serve_missing_index_exits_2(self, tmp_path, capsys):
         code = main(["serve", "--index", str(tmp_path / "void")])
         captured = capsys.readouterr()
         assert code == 2
+
+    def test_sigterm_drains_the_request_in_flight(self, inputs, capsys):
+        _, out, _ = _index(inputs, capsys)
+        src = Path(cli_module.__file__).resolve().parents[1]
+        argv = ["serve", "--index", str(out), "--bind", "127.0.0.1:0"]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SLOW_SERVE, *argv],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            # The first line is "serving on 127.0.0.1:<port>".
+            port = int(proc.stdout.readline().rsplit(":", 1)[1])
+            url = f"http://127.0.0.1:{port}/v1/retrieve"
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                reply = pool.submit(
+                    requests.post, url, json={"question": "open orders"}, timeout=30
+                )
+                assert proc.stdout.readline() == "retrieving\n"
+                proc.send_signal(signal.SIGTERM)
+                assert reply.result().status_code == 200
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
     def test_embedder_endpoint_env_var(self, monkeypatch):
         from csr.cli import _load_config
@@ -598,7 +653,11 @@ class TestEvalAndBench:
 
 
 class TestInputFiles:
-    @pytest.mark.parametrize("content", ["{bad", ""], ids=["truncated", "empty"])
+    @pytest.mark.parametrize(
+        "content",
+        ["{bad", "", DEEP_JSON.decode()],
+        ids=["truncated", "empty", "nested-too-deeply"],
+    )
     @pytest.mark.parametrize(
         "command,flag",
         [

@@ -98,6 +98,7 @@ class TestExternalProvider:
             ("created", None, "rejection"),
             ("not_json", None, "rejection"),
             ("short", None, "rejection"),
+            ("nested", None, "rejection"),
             ("ok", "127.0.0.1:9/embed", "transport"),
             ("ok", "http://[::1", "transport"),
             ("ok", "ftp://x/y", "transport"),
@@ -108,6 +109,7 @@ class TestExternalProvider:
             "status-201",
             "not-json",
             "one-vector-short",
+            "nested-too-deeply",
             "no-scheme",
             "malformed-url",
             "ftp-scheme",

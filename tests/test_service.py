@@ -25,7 +25,7 @@ from csr.service import (
 )
 from csr.structural import build_knowledge_graph
 
-from conftest import SHOP_TRACE
+from conftest import DEEP_JSON, SHOP_TRACE
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +90,28 @@ class TestEndpoints:
         base, _ = running_service
         resp = requests.post(base + "/v1/retrieve", data=b"{oops", timeout=5)
         assert resp.status_code == 400
+
+    def test_too_deeply_nested_body_is_400(self, running_service):
+        base, _ = running_service
+        resp = requests.post(base + "/v1/retrieve", data=DEEP_JSON, timeout=5)
+        assert resp.status_code == 400
+        assert resp.headers["Content-Type"] == "application/json"
+        assert "nested too deeply" in resp.json()["error"]
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE"])
+    def test_unsupported_method_is_json_501(self, running_service, method):
+        base, _ = running_service
+        resp = requests.request(method, base + "/v1/retrieve", json={}, timeout=5)
+        assert resp.status_code == 501
+        assert resp.headers["Content-Type"] == "application/json"
+        assert method in resp.json()["error"]
+
+    def test_unsupported_head_has_no_body(self, running_service):
+        request = b"HEAD /v1/health HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
+        response = _raw_exchange(_port(running_service[0]), request)
+        head, end, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert (end, body) == (b"\r\n\r\n", b"")
 
     def test_unknown_path_is_404(self, running_service):
         base, _ = running_service
@@ -205,19 +227,24 @@ def _port(base: str) -> int:
     return int(base.rsplit(":", 1)[1])
 
 
-def _raw_post(port: int, content_length: str, body: bytes = b"") -> bytes:
-    """POST /v1/retrieve over one raw connection with the given
-    ``Content-Length`` header, then read until the server closes it."""
-    head = (
-        "POST /v1/retrieve HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-        f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n\r\n"
-    )
+def _raw_exchange(port: int, request: bytes) -> bytes:
+    """Send ``request`` over one raw connection, then read until the server
+    closes it."""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        sock.sendall(head.encode("ascii") + body)
+        sock.sendall(request)
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+def _raw_post(port: int, content_length: str, body: bytes = b"") -> bytes:
+    """POST /v1/retrieve with the given ``Content-Length`` header."""
+    head = (
+        "POST /v1/retrieve HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n\r\n"
+    )
+    return _raw_exchange(port, head.encode("ascii") + body)
 
 
 def _status_and_json(response: bytes) -> tuple[int, dict]:
@@ -354,6 +381,39 @@ class TestConcurrency:
             payloads = list(pool.map(hit, range(50)))
         assert len(set(payloads)) == 1
 
+    def test_retrievals_run_one_at_a_time(
+        self, shop_catalog, small_config, monkeypatch
+    ):
+        lock = threading.Lock()
+        running = most = 0
+        run_pipeline = pipeline_module.run_pipeline
+
+        def recording_run_pipeline(*args):
+            nonlocal running, most
+            with lock:
+                running += 1
+                most = max(most, running)
+            try:
+                time.sleep(0.1)  # long enough for the other clients to arrive
+                return run_pipeline(*args)
+            finally:
+                with lock:
+                    running -= 1
+
+        monkeypatch.setattr(pipeline_module, "run_pipeline", recording_run_pipeline)
+        with _serving(_service(shop_catalog, small_config)) as server:
+            url = f"http://127.0.0.1:{server.server_address[1]}/v1/retrieve"
+
+            def post(_):
+                return requests.post(
+                    url, json={"question": "customer orders"}, timeout=30
+                ).status_code
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                statuses = list(pool.map(post, range(4)))
+        assert statuses == [200] * 4
+        assert most == 1
+
 
 class TestCliParity:
     def test_cli_and_service_payloads_match(
@@ -375,14 +435,13 @@ class TestCliParity:
         assert cli_payload == service_payload
 
 
-def _service(shop_catalog, small_config, max_concurrent=8) -> RetrievalService:
+def _service(shop_catalog, small_config) -> RetrievalService:
     return RetrievalService(
         catalog=shop_catalog,
         chunk_index=build_chunk_index(SHOP_TRACE, shop_catalog, small_config),
         graph=build_knowledge_graph(shop_catalog, small_config),
         config=PipelineConfig(similarity=small_config),
         schema_version=schema_version_of(shop_catalog),
-        max_concurrent=max_concurrent,
     )
 
 
@@ -417,21 +476,15 @@ def release(monkeypatch):
     event.set()
 
 
-@pytest.mark.parametrize("slots", [0, -1, True, 1.5, "8"])
-def test_max_concurrent_must_be_a_positive_integer(shop_catalog, small_config, slots):
-    with pytest.raises(ValueError, match="max_concurrent"):
-        _service(shop_catalog, small_config, max_concurrent=slots)
-
-
 class TestLoadShedding:
     def test_requests_beyond_the_queue_get_json_503(
         self, shop_catalog, small_config, monkeypatch, release
     ):
-        # One retrieval slot and two queue places: of four concurrent
-        # clients, three are admitted and block in the pipeline, and the
+        # Two queue places: of four concurrent clients, three are admitted
+        # (one runs and blocks in the pipeline, two wait for it), and the
         # fourth is turned away at once.
         monkeypatch.setattr(service_module, "MAX_QUEUED", 2)
-        service = _service(shop_catalog, small_config, max_concurrent=1)
+        service = _service(shop_catalog, small_config)
         with _serving(service) as server:
             url = f"http://127.0.0.1:{server.server_address[1]}/v1/retrieve"
 
@@ -453,16 +506,16 @@ class TestLoadShedding:
             assert statuses == [200, 200, 200, 503]
             assert post(None).status_code == 200
 
-    @pytest.mark.parametrize("max_concurrent", [1, 64])
+    @pytest.mark.parametrize("queued", [1, 63])
     def test_a_full_queue_leaves_a_thread_for_the_503(
-        self, shop_catalog, small_config, monkeypatch, release, max_concurrent
+        self, shop_catalog, small_config, monkeypatch, release, queued
     ):
         # Every admitted request holds a handler thread while it runs or
         # waits; one more client must still get its 503 at once. A fixed cap
         # of 64 threads left none from 64 admitted requests on.
-        monkeypatch.setattr(service_module, "MAX_QUEUED", 1)
-        admitted = max_concurrent + 1
-        service = _service(shop_catalog, small_config, max_concurrent)
+        monkeypatch.setattr(service_module, "MAX_QUEUED", queued)
+        admitted = 1 + queued
+        service = _service(shop_catalog, small_config)
         with _serving(service) as server:
             url = f"http://127.0.0.1:{server.server_address[1]}/v1/retrieve"
 
@@ -480,9 +533,9 @@ class TestLoadShedding:
 
 class TestConnectionBound:
     def test_handler_threads_are_bounded(self, shop_catalog, small_config, monkeypatch):
-        # One retrieval slot and no queue: at most two handler threads.
+        # No queue: at most two handler threads.
         monkeypatch.setattr(service_module, "MAX_QUEUED", 0)
-        service = _service(shop_catalog, small_config, max_concurrent=1)
+        service = _service(shop_catalog, small_config)
         before = set(threading.enumerate())
 
         def handlers():
