@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .pipeline import PipelineConfig
 from .sqlrefs import RelevantSet
 from .structural import KnowledgeGraph, build_knowledge_graph
 
-FORMAT_VERSION = "4"
+FORMAT_VERSION = "5"
 
 MANIFEST_NAME = "manifest.json"
 
@@ -173,10 +173,11 @@ def _self_hash(manifest: dict) -> str:
 
 
 def load_index(
-    index_dir: str | Path,
+    index_dir: str | Path, endpoint: str | None = None
 ) -> tuple[SchemaCatalog, ChunkIndex, KnowledgeGraph, PipelineConfig, dict]:
     """Reload a saved index, verifying the format version, the manifest's
-    own hash, the listed file set and every file's hash."""
+    own hash, the listed file set and every file's hash. An ``endpoint``
+    replaces the sealed external embedder endpoint."""
     root = Path(index_dir)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -189,6 +190,8 @@ def load_index(
         raise ArtifactError(f"manifest corrupted: {SELF_HASH} does not match")
 
     config = PipelineConfig.from_dict(manifest.get("config", {}))
+    if endpoint:
+        config.similarity = replace(config.similarity, external_endpoint=endpoint)
     similarity = config.similarity
     hashes = manifest.get("files")
     if not isinstance(hashes, dict):

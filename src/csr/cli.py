@@ -93,9 +93,15 @@ def _load_trace(path: str | Path) -> list[dict]:
     return entries
 
 
+def _endpoint() -> str | None:
+    """The external embedder endpoint that overrides the config's or the
+    index's own, for every command."""
+    return os.environ.get(EMBEDDER_ENDPOINT_ENV)
+
+
 def _load_config(path: str | None) -> PipelineConfig:
     config = load_pipeline_config(path) if path else PipelineConfig()
-    endpoint = os.environ.get(EMBEDDER_ENDPOINT_ENV)
+    endpoint = _endpoint()
     if endpoint:
         config.similarity = dataclasses.replace(
             config.similarity, external_endpoint=endpoint
@@ -150,7 +156,7 @@ def _parse_schedule_flag(text: str) -> IterationSchedule:
 
 
 def cmd_query(args) -> int:
-    catalog, chunk_index, graph, config, manifest = load_index(args.index)
+    catalog, chunk_index, graph, config, manifest = load_index(args.index, _endpoint())
     schedule = None if args.schedule is None else _parse_schedule_flag(args.schedule)
     request = QueryRequest(args.question, schedule, args.max_entities, args.timings)
     payload = answer(
@@ -211,7 +217,7 @@ def cmd_serve(args) -> int:
         port = -1
     if not 0 <= port <= 65535:
         return _fail(EXIT_ERROR, error=f"invalid bind address '{args.bind}'")
-    catalog, chunk_index, graph, config, manifest = load_index(args.index)
+    catalog, chunk_index, graph, config, manifest = load_index(args.index, _endpoint())
     service = RetrievalService(
         catalog=catalog,
         chunk_index=chunk_index,

@@ -102,10 +102,9 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         doc = {
-            # asdict walks the same dataclass fields that from_document accepts;
-            # ranking's h is the one field it refuses.
+            # asdict walks the same dataclass fields that from_document accepts.
+            # Ranking's one field, h, is set per schedule step: no section.
             "similarity": asdict(self.similarity),
-            "ranking": {k: v for k, v in asdict(self.ranking).items() if k != "h"},
             "contextual_scope_mode": self.contextual_scope_mode,
             "unavailable_tables": list(self.unavailable_tables),
         }

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -30,14 +29,10 @@ from .similarity import (
     token_counts,
 )
 
-ENTITY_DESC_SEPARATOR = " — "
-
 
 @dataclass(frozen=True)
 class RankingConfig:
     h: int = 16
-    operator: Literal["concat_names", "concat_with_descriptions"] = "concat_names"
-    weight_mode: Literal["uniform", "hyperedge_degree"] = "uniform"
 
     def __post_init__(self) -> None:
         check_types(self)
@@ -67,17 +62,9 @@ class SemanticEntity:
     score: float
 
 
-def render_entity(table: Table, column: Column, operator: str) -> str:
-    """``table.column``, optionally extended with both descriptions."""
-    base = f"{table.name}.{column.name}"
-    if operator == "concat_names":
-        return base
-    parts = [base]
-    if column.description:
-        parts.append(column.description)
-    if table.description:
-        parts.append(table.description)
-    return ENTITY_DESC_SEPARATOR.join(parts)
+def render_entity(table: Table, column: Column) -> str:
+    """The surface that ranking scores: ``table.column``."""
+    return f"{table.name}.{column.name}"
 
 
 def build_hypergraph(
@@ -86,12 +73,13 @@ def build_hypergraph(
     config: RankingConfig,
     unavailable: set[TableId] | frozenset[TableId] = frozenset(),
 ) -> Hypergraph:
-    """Group the scope's key columns into hyperedges and weight the nodes.
+    """Group the scope's key columns into hyperedges; every node weighs 1.
 
     Key columns are primary keys plus foreign-key endpoints owned by scope
     tables. Columns merge into one group when a foreign key links them (both
     endpoints in scope) or when their lowercase names match. Every group
-    becomes a hyperedge keyed by its smallest member name.
+    becomes a hyperedge keyed by its smallest member name. ``config`` is not
+    read; perfbench's tracer still passes it positionally.
     """
     if not scope:
         raise ValueError("empty scope: hypergraph needs at least one table")
@@ -152,21 +140,11 @@ def build_hypergraph(
         hyperedges.append(Hyperedge(key=key, members=member_pairs))
     hyperedges.sort(key=lambda e: (e.key, e.members))
 
-    if config.weight_mode == "hyperedge_degree":
-        degree = {tid: 0 for tid in scope}
-        for edge in hyperedges:
-            for tid in {m[0] for m in edge.members}:
-                degree[tid] += 1
-        weights = {tid: 1.0 + degree[tid] for tid in scope}
-    else:
-        weights = {tid: 1.0 for tid in scope}
-
-    availability = {tid: tid not in unavailable for tid in scope}
     return Hypergraph(
         nodes=set(scope),
         hyperedges=hyperedges,
-        weights=weights,
-        availability=availability,
+        weights={tid: 1.0 for tid in scope},
+        availability={tid: tid not in unavailable for tid in scope},
     )
 
 
@@ -191,7 +169,7 @@ def hypergraph_rank(
         for tid, cid in edge.members:
             if not hypergraph.availability.get(tid, True):
                 continue
-            surface, terms = _entity_terms(catalog, tid, cid, config.operator)
+            surface, terms = _entity_terms(catalog, tid, cid)
             incidences.append((tid, cid, surface))
             counts.append(terms)
 
@@ -219,12 +197,12 @@ def hypergraph_rank(
 
 
 def _entity_terms(
-    catalog: SchemaCatalog, tid: TableId, cid: ColumnId, operator: str
+    catalog: SchemaCatalog, tid: TableId, cid: ColumnId
 ) -> tuple[str, Counter[str]]:
     """The rendered entity and its term counts, tokenized once per catalog."""
-    key = ("entity", tid, cid, operator)
+    key = ("entity", tid, cid)
     cached = catalog.derived.get(key)
     if cached is None:
-        surface = render_entity(catalog.table(tid), catalog.column(cid), operator)
+        surface = render_entity(catalog.table(tid), catalog.column(cid))
         cached = catalog.derived[key] = (surface, token_counts(surface))
     return cached

@@ -16,7 +16,8 @@ request (not an object, an unknown key, a wrongly typed value, JSON nested
 too deeply to parse), 422 when the scope collapses, 502 with the provider's
 ``kind`` when the external embedder fails, 503 at once when the queue is
 full, 500, without the traceback, for any other fault during retrieval, and
-the standard library's own errors too (a 501 for PUT). A request body is
+the standard library's own errors too (a 501 for PUT, a 400 or 505 for a
+request line that does not parse). A request body is
 bounded: a ``Content-Length`` that is not a non-negative integer is a 400 and
 one above ``MAX_BODY_BYTES`` a 413, both sent without reading the body, and a
 connection that stays silent for ``SOCKET_TIMEOUT_S`` (a body shorter than
@@ -147,6 +148,10 @@ def make_server(service: RetrievalService, host: str, port: int) -> ThreadingHTT
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # An error for a request line that does not parse is sent before a
+        # version is read; the stdlib's HTTP/0.9 default would drop its
+        # status line and headers.
+        default_request_version = "HTTP/1.1"
         # A socket operation that times out ends the request and closes the
         # connection (BaseHTTPRequestHandler.handle_one_request).
         timeout = SOCKET_TIMEOUT_S

@@ -152,10 +152,7 @@ def test_criterion_2_ranking_fidelity():
         hypergraph = Hypergraph(
             nodes=scope, hyperedges=edges, weights=weights, availability=availability
         )
-        config = RankingConfig(
-            h=rng.randint(1, 16),
-            operator=rng.choice(["concat_names", "concat_with_descriptions"]),
-        )
+        config = RankingConfig(h=rng.randint(1, 16))
         question = _random_question(rng, trace)
         entities = hypergraph_rank(hypergraph, question, config, sim, catalog)
         expected = ranking_transcription(hypergraph, question, config, sim, catalog)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from csr import artifacts
 from csr.artifacts import (
+    FORMAT_VERSION,
     ArtifactError,
     ArtifactVersionError,
     format_files,
@@ -96,7 +97,7 @@ def test_version_mismatch_fails_fast(built, tmp_path):
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(ArtifactVersionError) as err:
         load_index(tmp_path)
-    assert err.value.expected == "4"
+    assert err.value.expected == FORMAT_VERSION
     assert err.value.found == "99"
 
 
@@ -158,8 +159,8 @@ def test_external_index_stores_and_reloads_its_vectors(external_built, tmp_path)
     "doc",
     [
         None,
-        {"format_version": "4"},
-        {"format_version": "4", "files": ["catalog.json", "chunks.json"]},
+        {"format_version": FORMAT_VERSION},
+        {"format_version": FORMAT_VERSION, "files": ["catalog.json", "chunks.json"]},
     ],
     ids=["not-json", "no-artifacts", "artifacts-list"],
 )
@@ -425,7 +426,7 @@ def test_manifest_of_format_2_is_a_version_mismatch(built, tmp_path):
     del doc["manifest_sha256"]
     doc["format_version"] = "2"
     manifest_path.write_text(json.dumps(doc))
-    with pytest.raises(ArtifactVersionError, match="expected 4, found 2"):
+    with pytest.raises(ArtifactVersionError, match=f"expected {FORMAT_VERSION}, found 2"):
         load_index(tmp_path)
 
 
@@ -444,7 +445,26 @@ def test_manifest_of_format_3_is_a_version_mismatch(built, tmp_path, capsys):
         "chunks": {"files": {"chunks.json": files["chunks.json"]}},
     }
     write_sealed_manifest(manifest_path, doc)
-    with pytest.raises(ArtifactVersionError, match="expected 4, found 3"):
+    with pytest.raises(ArtifactVersionError, match=f"expected {FORMAT_VERSION}, found 3"):
+        load_index(tmp_path)
+    code = main(["query", "--index", str(tmp_path), "open orders"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert "version mismatch" in json.loads(err[0])["error"]
+
+
+def test_manifest_of_format_4_is_a_version_mismatch(built, tmp_path, capsys):
+    # Format 4 sealed a ranking section with the operator and weight_mode
+    # keys; it fails on the version, not as a config with unknown keys.
+    catalog, index, graph, config = built
+    save_index(tmp_path, catalog, index, graph, config)
+    manifest_path = tmp_path / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["format_version"] = "4"
+    doc["config"]["ranking"] = {"operator": "concat_names", "weight_mode": "uniform"}
+    write_sealed_manifest(manifest_path, doc)
+    with pytest.raises(ArtifactVersionError, match="expected 5, found 4"):
         load_index(tmp_path)
     code = main(["query", "--index", str(tmp_path), "open orders"])
     err = capsys.readouterr().err.strip().splitlines()

@@ -205,6 +205,8 @@ class TestIndex:
             ({"similarity": {"dimension": 100.5}}, "dimension"),
             ({"ranking": {"h": 2.5}}, "ranking"),
             ({"ranking": {"h": 2}}, "h is set per schedule step"),
+            ({"ranking": {"operator": "concat_names"}}, "operator"),
+            ({"ranking": {"weight_mode": "uniform"}}, "weight_mode"),
             ([], "pipeline config"),
             ({"similarity": {"bm25_k1": float("nan")}}, "bm25_k1"),
             ({"similarity": {"bm25_k1": float("inf")}}, "bm25_k1"),
@@ -225,6 +227,8 @@ class TestIndex:
             "float-dimension",
             "float-h",
             "ranking-h",
+            "ranking-operator",
+            "ranking-weight-mode",
             "not-an-object",
             "nan-k1",
             "infinite-k1",

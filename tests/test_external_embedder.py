@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import requests
 
-from csr import contextual, relational, structural
+from csr import cli, contextual, relational, structural
 from csr.artifacts import load_index, save_index
 from csr.cli import main
 from csr.contextual import build_chunk_index, retrieve_contextual
@@ -224,6 +224,36 @@ class TestUnreachableProvider:
     def test_cli_query_exits_2_with_kind(self, unreachable_index, capsys):
         code = main(["query", "--index", str(unreachable_index), "open orders"])
         self._assert_exit_2_with_kind(code, capsys)
+
+    def test_endpoint_env_var_reaches_query_and_serve(
+        self, stub_provider, shop_catalog, tmp_path, monkeypatch, capsys
+    ):
+        # An index built and sealed against an answering provider; the
+        # variable moves query and serve to the closed port.
+        endpoint, state = stub_provider
+        state["mode"] = "ok"
+        config = PipelineConfig(similarity=external_config(endpoint))
+        index = build_chunk_index(SHOP_TRACE, shop_catalog, config.similarity)
+        graph = build_knowledge_graph(shop_catalog, config.similarity)
+        save_index(tmp_path / "idx", shop_catalog, index, graph, config)
+        query = ["query", "--index", str(tmp_path / "idx"), "open orders"]
+        assert main(query) == 0
+        assert json.loads(capsys.readouterr().out)["entities"]
+
+        monkeypatch.setenv("CSR_EMBEDDER_ENDPOINT", CLOSED_ENDPOINT)
+        self._assert_exit_2_with_kind(main(query), capsys)
+        replies = []
+        monkeypatch.setattr(cli.signal, "signal", lambda *args: None)
+        monkeypatch.setattr(
+            cli,
+            "serve_forever",
+            lambda service, *address: replies.append(
+                service.retrieve({"question": "open orders"})
+            ),
+        )
+        assert main(["serve", "--index", str(tmp_path / "idx"), "--bind", ":0"]) == 0
+        [(status, doc)] = replies
+        assert (status, doc["kind"]) == (502, "transport")
 
     def test_service_answers_502_with_kind(self, unreachable_index):
         catalog, index, graph, config, manifest = load_index(unreachable_index)

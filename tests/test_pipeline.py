@@ -314,25 +314,24 @@ class TestPipelineConfig:
             json.dumps(
                 {
                     "similarity": {"dimension": 256, "metric": "bm25"},
-                    "ranking": {"operator": "concat_with_descriptions"},
                     "schedule": {"steps": [[8, 16, 8]]},
                 }
             )
         )
         config = load_pipeline_config(path)
         assert config.similarity.metric == "bm25"
-        assert config.ranking.operator == "concat_with_descriptions"
         assert config.schedule.steps == ((8, 16, 8),)
 
 
     def test_ranking_h_is_rejected_and_not_written(self):
         # Ranking takes h from the last schedule step, so a config's h is
-        # refused rather than silently ignored.
+        # refused rather than silently ignored, and no ranking section is
+        # written.
         with pytest.raises(ValueError, match="h is set per schedule step"):
             PipelineConfig.from_dict({"ranking": {"h": 2}})
-        config = PipelineConfig.from_dict({"ranking": {"weight_mode": "hyperedge_degree"}})
+        config = PipelineConfig.from_dict({"ranking": {}})
         doc = config.to_dict()
-        assert "h" not in doc["ranking"]
+        assert "ranking" not in doc
         assert PipelineConfig.from_dict(doc).ranking == config.ranking
 
 

@@ -34,9 +34,7 @@ def ranking_transcription(hypergraph, question, config, sim, catalog):
         for node, column in edge.members:
             if hypergraph.availability.get(node, True) is False:
                 continue
-            surface = render_entity(
-                catalog.table(node), catalog.column(column), config.operator
-            )
+            surface = render_entity(catalog.table(node), catalog.column(column))
             eligible.append((node, column, surface))
     if not eligible:
         return []
@@ -105,22 +103,7 @@ class TestRenderEntity:
     def test_concat_names(self, shop_catalog):
         orders = shop_catalog.table(lookup_table(shop_catalog, "orders"))
         pk = orders.column_by_name("order_id")
-        assert render_entity(orders, pk, "concat_names") == "orders.order_id"
-
-    def test_empty_descriptions_collapse_to_names(self, shop_catalog):
-        items = shop_catalog.table(lookup_table(shop_catalog, "order_items"))
-        qty = items.column_by_name("quantity")
-        assert render_entity(items, qty, "concat_with_descriptions") == render_entity(
-            items, qty, "concat_names"
-        )
-
-    def test_descriptions_appended(self, shop_catalog):
-        orders = shop_catalog.table(lookup_table(shop_catalog, "orders"))
-        col = orders.column_by_name("customer_id")
-        assert (
-            render_entity(orders, col, "concat_with_descriptions")
-            == "orders.customer_id — Ordering customer — Customer orders"
-        )
+        assert render_entity(orders, pk) == "orders.order_id"
 
 
 class TestBuildHypergraph:
@@ -202,17 +185,6 @@ class TestBuildHypergraph:
     def test_unknown_table_rejected(self, shop_catalog):
         with pytest.raises(ValueError, match="unknown table"):
             build_hypergraph({999}, shop_catalog, RankingConfig())
-
-    def test_hyperedge_degree_weights(self, shop_catalog):
-        scope = shop_catalog.all_table_ids()
-        hg = build_hypergraph(
-            scope, shop_catalog, RankingConfig(weight_mode="hyperedge_degree")
-        )
-        for tid in scope:
-            incident = sum(
-                1 for e in hg.hyperedges if any(t == tid for t, _ in e.members)
-            )
-            assert hg.weights[tid] == 1.0 + incident
 
     def test_uniform_weights_default(self, shop_catalog):
         hg = build_hypergraph(
@@ -319,8 +291,7 @@ class TestRank:
                 assert e.table in scope
 
     @pytest.mark.parametrize("metric", ["cosine", "bm25"])
-    @pytest.mark.parametrize("operator", ["concat_names", "concat_with_descriptions"])
-    def test_random_hypergraphs_match_transcription(self, metric, operator):
+    def test_random_hypergraphs_match_transcription(self, metric):
         catalog, _ = generate_synthetic(
             GeneratorProfile(table_count=10, query_count=4, seed=6)
         )
@@ -346,7 +317,7 @@ class TestRank:
             hg = Hypergraph(
                 nodes=scope, hyperedges=edges, weights=weights, availability=availability
             )
-            config = RankingConfig(h=rng.randint(1, 12), operator=operator)
+            config = RankingConfig(h=rng.randint(1, 12))
             question = " ".join(rng.choices(vocab, k=rng.randint(1, 4)))
             entities = hypergraph_rank(hg, question, config, sim, catalog)
             expected = ranking_transcription(hg, question, config, sim, catalog)

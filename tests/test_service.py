@@ -113,6 +113,22 @@ class TestEndpoints:
         assert head.startswith(b"HTTP/1.1 501 ")
         assert (end, body) == (b"\r\n\r\n", b"")
 
+    @pytest.mark.parametrize(
+        "line,status",
+        [
+            (b"GARBAGE", 400),
+            (b"GET / HTTP/9.0", 505),
+            (b"POST /v1/retrieve", 400),
+        ],
+        ids=["garbage", "unsupported-version", "no-version"],
+    )
+    def test_unparsable_request_line_gets_a_status_line(
+        self, running_service, line, status
+    ):
+        response = _raw_exchange(_port(running_service[0]), line + b"\r\n\r\n")
+        assert response.startswith(b"HTTP/1.1 %d " % status)
+        assert _status_and_json(response)[0] == status
+
     def test_unknown_path_is_404(self, running_service):
         base, _ = running_service
         assert requests.get(base + "/v1/nope", timeout=5).status_code == 404
