@@ -189,8 +189,7 @@ class SchemaCatalog:
     name_index: dict[str, TableId] = field(default_factory=dict)
     _columns: list[tuple[TableId, Column]] = field(default_factory=list, repr=False)
     # Text derived from the catalog by later layers (rendered entities and
-    # their term counts), filled on first use. Entries are never changed, so
-    # concurrent readers at most compute one twice.
+    # their term counts), filled on first use and never changed.
     derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -1,10 +1,11 @@
 """Join-candidate ranking over a hypergraph of the narrowed table scope.
 
 Tables are nodes; each hyperedge is a group of key columns likely to be
-joined on in one SQL query. Groups are found by union-find over declared
-foreign-key endpoint pairs and over identically named primary/foreign key
-columns across the scope, so undeclared enterprise join conventions (shared
-key names without FK constraints) are still recovered, deterministically.
+joined on in one SQL query. A group is a set of lowercased key-column names,
+found by union-find over the names: key columns that share a name are always
+in one group, which recovers undeclared enterprise join conventions (shared
+key names without FK constraints), and a declared foreign key merges its two
+endpoints' groups. The result does not depend on iteration order.
 
 Ranking scores every (node, hyperedge) incidence: the table.column rendering
 is compared to the question, the similarity is divided by the node weight
@@ -76,10 +77,11 @@ def build_hypergraph(
     """Group the scope's key columns into hyperedges; every node weighs 1.
 
     Key columns are primary keys plus foreign-key endpoints owned by scope
-    tables. Columns merge into one group when a foreign key links them (both
-    endpoints in scope) or when their lowercase names match. Every group
-    becomes a hyperedge keyed by its smallest member name. ``config`` is not
-    read; perfbench's tracer still passes it positionally.
+    tables. Columns with the same lowercase name share a group, and a foreign
+    key with both endpoints in scope merges its endpoints' groups. Every
+    group becomes a hyperedge keyed by its smallest name, and the hyperedges
+    come in key order. ``config`` is not read; perfbench's tracer still
+    passes it positionally.
     """
     if not scope:
         raise ValueError("empty scope: hypergraph needs at least one table")
@@ -88,57 +90,41 @@ def build_hypergraph(
     if stray:
         raise ValueError(f"scope references unknown table ids: {sorted(stray)}")
 
-    key_columns: dict[ColumnId, TableId] = {}
+    # Every key column's owner, and the declared links between them.
+    owners: dict[ColumnId, TableId] = {}
+    links: list[tuple[ColumnId, ColumnId]] = []
     for tid in scope:
         table = catalog.table(tid)
         for col in table.columns:
             if col.is_primary_key:
-                key_columns[col.id] = tid
+                owners[col.id] = tid
         for fk in table.foreign_keys:
-            key_columns[fk.from_column] = tid
+            owners[fk.from_column] = tid
             if fk.to_table in scope:
-                key_columns.setdefault(fk.to_column, fk.to_table)
+                owners[fk.to_column] = fk.to_table
+                links.append((fk.from_column, fk.to_column))
 
-    parent: dict[ColumnId, ColumnId] = {cid: cid for cid in key_columns}
+    names = {cid: catalog.column(cid).name.lower() for cid in owners}
+    parent = {name: name for name in names.values()}
 
-    def find(x: ColumnId) -> ColumnId:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(name: str) -> str:
+        while parent[name] != name:
+            parent[name] = parent[parent[name]]
+            name = parent[name]
+        return name
 
-    def union(a: ColumnId, b: ColumnId) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # Smaller root wins, keeping grouping independent of union order.
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
+    for a, b in links:
+        # The smaller name wins, so every root is its group's smallest name.
+        root, child = sorted((find(names[a]), find(names[b])))
+        parent[child] = root
 
-    # (a) declared foreign keys with both endpoints in scope.
-    for tid in scope:
-        for fk in catalog.table(tid).foreign_keys:
-            if fk.to_table in scope and fk.from_column in parent and fk.to_column in parent:
-                union(fk.from_column, fk.to_column)
-    # (b) identically named key columns across scope tables.
-    by_name: dict[str, ColumnId] = {}
-    for cid in sorted(key_columns):
-        name = catalog.column(cid).name.lower()
-        if name in by_name:
-            union(by_name[name], cid)
-        else:
-            by_name[name] = cid
-
-    groups: dict[ColumnId, list[ColumnId]] = {}
-    for cid in sorted(key_columns):
-        groups.setdefault(find(cid), []).append(cid)
-
-    hyperedges = []
-    for members in groups.values():
-        key = min(catalog.column(cid).name.lower() for cid in members)
-        member_pairs = tuple(sorted((key_columns[cid], cid) for cid in members))
-        hyperedges.append(Hyperedge(key=key, members=member_pairs))
-    hyperedges.sort(key=lambda e: (e.key, e.members))
+    groups: dict[str, list[tuple[TableId, ColumnId]]] = {}
+    for cid, tid in owners.items():
+        groups.setdefault(find(names[cid]), []).append((tid, cid))
+    hyperedges = [
+        Hyperedge(key=key, members=tuple(sorted(members)))
+        for key, members in sorted(groups.items())
+    ]
 
     return Hypergraph(
         nodes=set(scope),

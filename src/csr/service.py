@@ -1,6 +1,7 @@
 """HTTP retrieval service for downstream SQL generators.
 
-Endpoints:
+Once bound, the server prints one JSON line to stdout,
+``{"listening": "host:port", "schema_version": ...}``. Endpoints:
   POST /v1/retrieve  {question, schedule_override?, max_entities?, include_timings?}
   GET  /v1/health    liveness plus the loaded schema version
   GET  /v1/stats     catalog shape and index sizes
@@ -219,7 +220,10 @@ def make_server(service: RetrievalService, host: str, port: int) -> ThreadingHTT
 
 def serve_forever(service: RetrievalService, host: str, port: int) -> None:
     server = make_server(service, host, port)
-    logger.info("serving on %s:%d", *server.server_address[:2])
+    # One line on stdout says where the server listens (port 0 picks a free one).
+    host, port = server.server_address[:2]
+    ready = {"listening": f"{host}:{port}", "schema_version": service.schema_version}
+    print(json.dumps(ready), flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

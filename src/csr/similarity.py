@@ -36,6 +36,10 @@ _TOKEN = re.compile(r"[0-9a-z]+")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
+# Vectors whose largest magnitude lies outside this range are rescaled before
+# their norms are taken: their squares would underflow or overflow.
+_SAFE_PEAK = (2.0**-200, 2.0**200)
+
 
 class EmbeddingProviderError(RuntimeError):
     """External embedder failure; ``kind`` separates transport problems
@@ -195,6 +199,17 @@ def _hashed_rows(
     return docs, buckets, weights, norms
 
 
+class _RefuseRedirects(urllib.request.HTTPRedirectHandler):
+    """Answers a 3xx with an ``HTTPError`` instead of following it: urllib
+    would re-send the POST as a GET without the texts, to any scheme."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+_OPENER = urllib.request.build_opener(_RefuseRedirects)
+
+
 def _external_embed(texts: list[str], config: SimilarityConfig) -> np.ndarray:
     if not config.external_endpoint:
         raise EmbeddingProviderError(
@@ -211,9 +226,9 @@ def _external_embed(texts: list[str], config: SimilarityConfig) -> np.ndarray:
             data=json.dumps({"texts": texts}).encode("utf-8"),
             headers={"Content-Type": "application/json"},
         )
-        with urllib.request.urlopen(request, timeout=config.external_timeout) as resp:
+        with _OPENER.open(request, timeout=config.external_timeout) as resp:
             status, body = resp.status, resp.read()
-    except urllib.error.HTTPError as exc:  # urllib raises it for 4xx and 5xx
+    except urllib.error.HTTPError as exc:  # urllib raises it for 3xx, 4xx and 5xx
         exc.close()
         status, body = exc.code, b""
     except (OSError, ValueError, http.client.HTTPException) as exc:
@@ -251,9 +266,27 @@ def _external_embed(texts: list[str], config: SimilarityConfig) -> np.ndarray:
             "embedding provider returned non-finite vector components",
             kind="rejection",
         )
+    arr = _rescaled(arr)
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     np.divide(arr, norms, out=arr, where=norms > 0)
     return arr
+
+
+def _rescaled(rows: np.ndarray) -> np.ndarray:
+    """``rows`` (one vector, or one per row), with every vector whose largest
+    magnitude is outside ``_SAFE_PEAK`` multiplied by the power of two that
+    brings that magnitude into [0.5, 1). A power of two changes only the
+    exponents (a huge vector's components that are smaller than its largest by
+    over 2**1000 may round to subnormals), so directions and cosines keep
+    their values; vectors in range are returned as they are, bit for bit.
+    """
+    peak = np.abs(rows).max(axis=-1, keepdims=True, initial=0.0)
+    low, high = _SAFE_PEAK
+    outside = (peak > 0.0) & ((peak < low) | (peak > high))
+    if not outside.any():
+        return rows
+    _, exponent = np.frexp(peak)
+    return np.ldexp(rows, np.where(outside, -exponent, 0))
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
@@ -262,10 +295,13 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     The dot product adds the non-zero products ``u[i] * v[i]`` one at a time
     in ascending ``i``, starting from zero: the order in which
     ``Corpus.score`` adds posting-list products, so the two agree bit for bit.
-    The norms are 1-D ``np.linalg.norm``.
+    The norms are 1-D ``np.linalg.norm``. A vector of extreme magnitude is
+    first rescaled by a power of two (``_rescaled``), so that its squares
+    neither underflow nor overflow.
     """
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    u, v = _rescaled(u), _rescaled(v)
     denom = float(np.linalg.norm(u)) * float(np.linalg.norm(v))
     if denom == 0.0:
         return 0.0
@@ -337,9 +373,7 @@ class Corpus:
     :meth:`score` applies ``bm25_score``'s or ``cosine_sim``'s arithmetic in
     their order, one question term or bucket at a time, so its scores equal
     theirs bit for bit. It scores every document: callers select their
-    candidates from the array. A corpus is read-only after construction and
-    ``score`` allocates its accumulator per call, so one corpus serves
-    concurrent queries.
+    candidates from the array. A corpus is read-only after construction.
     """
 
     def __init__(
@@ -377,11 +411,12 @@ class Corpus:
 
     def _index_buckets(self, counts: Sequence[Counter[str]]) -> None:
         if self.vectors is not None:
-            # Same entries as flatnonzero(vectors); a boolean mask is faster.
-            flat = np.flatnonzero(self.vectors != 0.0)
-            docs, buckets = np.divmod(flat, self.vectors.shape[1])
-            weights = self.vectors.ravel()[flat]
-            norms = [np.linalg.norm(row) for row in self.vectors]
+            rows = _rescaled(self.vectors)  # as cosine_sim rescales them
+            # Same entries as flatnonzero(rows); a boolean mask is faster.
+            flat = np.flatnonzero(rows != 0.0)
+            docs, buckets = np.divmod(flat, rows.shape[1])
+            weights = rows.ravel()[flat]
+            norms = [np.linalg.norm(row) for row in rows]
         elif self.config.embedder == "external":
             raise ValueError("a corpus for the external embedder needs its vectors")
         else:
@@ -397,6 +432,7 @@ class Corpus:
         if self.config.metric == "bm25":
             self._add_bm25(acc, question)
             return acc
+        qvec = _rescaled(qvec)
         qnorm = float(np.linalg.norm(qvec))
         if qnorm == 0.0:
             return acc

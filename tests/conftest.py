@@ -156,24 +156,43 @@ def stub_provider():
     ``state["mode"]`` to make it misbehave, and back to "ok" after. Modes:
     "reject" (HTTP 500), "created" (HTTP 201), "slow" (answers after
     ``SLOW_PROVIDER_S``), "not_json", "wrong_dim", "nan", "ragged", and
-    "short" (one vector too few), and "nested" (a body of ``DEEP_JSON``).
-    ``state["posts"]`` counts the requests."""
-    state = {"mode": "ok", "posts": 0}
+    "short" (one vector too few), "nested" (a body of ``DEEP_JSON``),
+    "huge" and "tiny" (every vector times 2**700 or 2**-600), and "redirect"
+    (a 302 to a GET that answers the posted texts' vectors).
+    ``state["posts"]`` and ``state["gets"]`` count the requests."""
+    state = {"mode": "ok", "posts": 0, "gets": 0, "texts": []}
+    scale = {"huge": 2.0**700, "tiny": 2.0**-600}
 
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, *args):
             pass
 
+        def _reply(self, status, body=b"", headers=()):
+            self.send_response(status)
+            for header in headers:
+                self.send_header(*header)
+            if body:
+                self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Connection", "close")  # also sets close_connection
+            self.end_headers()
+            self.wfile.write(body)
+
+        def do_GET(self):
+            state["gets"] += 1
+            vectors = [stub_vector(t, DIMENSION) for t in state["texts"]]
+            self._reply(200, json.dumps({"vectors": vectors}).encode())
+
         def do_POST(self):
             state["posts"] += 1
             length = int(self.headers.get("Content-Length", "0"))
-            texts = json.loads(self.rfile.read(length))["texts"]
+            texts = state["texts"] = json.loads(self.rfile.read(length))["texts"]
             mode = state["mode"]
             if mode == "reject":
-                self.send_response(500)
-                self.send_header("Content-Length", "0")
-                self.send_header("Connection", "close")
-                self.end_headers()
+                self._reply(500)
+                return
+            if mode == "redirect":
+                self._reply(302, headers=[("Location", "/vectors")])
                 return
             if mode == "slow":
                 time.sleep(SLOW_PROVIDER_S)
@@ -185,18 +204,14 @@ def stub_provider():
                 vectors[-1].pop()
             if mode == "short":
                 vectors.pop()
+            if mode in scale:
+                vectors = [[x * scale[mode] for x in row] for row in vectors]
             body = json.dumps({"vectors": vectors}).encode()
             if mode == "not_json":
                 body = body[:-1]
             if mode == "nested":
                 body = DEEP_JSON
-            self.send_response(201 if mode == "created" else 200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
-            self.close_connection = True
-            self.end_headers()
-            self.wfile.write(body)
+            self._reply(201 if mode == "created" else 200, body)
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -29,7 +30,7 @@ def inputs(tmp_path):
 # `csr serve`, but each retrieval says so on stdout and then takes a second,
 # so that a test can stop the server while one is in flight.
 _SLOW_SERVE = """
-import logging, sys, time
+import sys, time
 from csr import cli, pipeline
 
 run_pipeline = pipeline.run_pipeline
@@ -40,9 +41,35 @@ def slow_run_pipeline(*args):
     return run_pipeline(*args)
 
 pipeline.run_pipeline = slow_run_pipeline
-logging.basicConfig(level=logging.INFO, stream=sys.stdout, format="%(message)s")
 sys.exit(cli.main(sys.argv[1:]))
 """
+
+
+def _start_serve(out, script=None):
+    """``csr serve`` on a free loopback port, optionally through ``script``;
+    returns the process and its first stdout line, read as JSON."""
+    src = Path(cli_module.__file__).resolve().parents[1]
+    argv = ["serve", "--index", str(out), "--bind", "127.0.0.1:0"]
+    command = ["-c", script] if script else ["-m", "csr.cli"]
+    proc = subprocess.Popen(
+        [sys.executable, *command, *argv],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    ready, _, _ = select.select([proc.stdout], [], [], 30)
+    line = proc.stdout.readline() if ready else ""
+    if not line:
+        _stop(proc)
+        pytest.fail("csr serve printed no address line")
+    return proc, json.loads(line)
+
+
+def _stop(proc):
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
 
 
 def _index(inputs, capsys):
@@ -527,20 +554,30 @@ class TestEvalAndBench:
         captured = capsys.readouterr()
         assert code == 2
 
+    def test_serve_prints_where_it_listens(self, inputs, capsys):
+        _, out, _ = _index(inputs, capsys)
+        schema_version = json.loads((out / "manifest.json").read_text())[
+            "schema_version"
+        ]
+        proc, ready = _start_serve(out)
+        try:
+            assert sorted(ready) == ["listening", "schema_version"]
+            assert ready["schema_version"] == schema_version
+            host, port = ready["listening"].rsplit(":", 1)
+            assert host == "127.0.0.1" and int(port) > 0
+            health = requests.get(f"http://{host}:{port}/v1/health", timeout=30)
+            assert health.json()["schema_version"] == schema_version
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert proc.stdout.read() == ""
+        finally:
+            _stop(proc)
+
     def test_sigterm_drains_the_request_in_flight(self, inputs, capsys):
         _, out, _ = _index(inputs, capsys)
-        src = Path(cli_module.__file__).resolve().parents[1]
-        argv = ["serve", "--index", str(out), "--bind", "127.0.0.1:0"]
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _SLOW_SERVE, *argv],
-            stdout=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        proc, ready = _start_serve(out, _SLOW_SERVE)
         try:
-            # The first line is "serving on 127.0.0.1:<port>".
-            port = int(proc.stdout.readline().rsplit(":", 1)[1])
-            url = f"http://127.0.0.1:{port}/v1/retrieve"
+            url = f"http://{ready['listening']}/v1/retrieve"
             with ThreadPoolExecutor(max_workers=1) as pool:
                 reply = pool.submit(
                     requests.post, url, json={"question": "open orders"}, timeout=30
@@ -550,10 +587,7 @@ class TestEvalAndBench:
                 assert reply.result().status_code == 200
             assert proc.wait(timeout=30) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
+            _stop(proc)
 
     def test_embedder_endpoint_env_var(self, monkeypatch):
         from csr.cli import _load_config

@@ -107,17 +107,18 @@ def test_zero_question_and_empty_documents_score_zero():
     assert scores[0] == scores[2] == 0.0 and scores[1] > 0.0
 
 
-def test_underflowing_norm_product_scores_zero_in_both():
+def test_tiny_and_huge_vectors_score_alike_in_both():
+    # Squared, 1e-200 underflows and 1e200 overflows; both are rescaled.
     config = SimilarityConfig(embedder="external", dimension=64)
     tiny = np.zeros(64)
     tiny[3] = 1e-200
-    vectors = np.stack([tiny, np.ones(64)])
-    corpus = corpus_of(["a", "b"], config, vectors)
-    assert cosine_sim(tiny, tiny) == 0.0
-    assert corpus.score("unused", tiny).tolist() == [
-        cosine_sim(tiny, vectors[0]),
-        cosine_sim(tiny, vectors[1]),
-    ]
+    vectors = np.stack([tiny, np.ones(64), 1e200 * np.ones(64)])
+    corpus = corpus_of(["a", "b", "c"], config, vectors)
+    assert cosine_sim(tiny, tiny) == 1.0
+    for qvec in (tiny, np.ones(64)):
+        assert corpus.score("unused", qvec).tolist() == [
+            cosine_sim(qvec, row) for row in vectors
+        ]
 
 
 def test_duplicate_question_terms_count_twice():

@@ -85,6 +85,30 @@ class TestExternalProvider:
         assert err.value.kind == "rejection"
         state["mode"] = "ok"
 
+    def test_redirect_is_a_rejection_and_not_followed(self, stub_provider):
+        endpoint, state = stub_provider
+        state["mode"] = "redirect"
+        gets = state["gets"]
+        try:
+            with pytest.raises(EmbeddingProviderError, match="HTTP 302") as err:
+                embed_batch(["alpha", "beta"], external_config(endpoint))
+        finally:
+            state["mode"] = "ok"
+        assert err.value.kind == "rejection"
+        assert state["gets"] == gets
+
+    @pytest.mark.parametrize("mode", ["huge", "tiny"])
+    def test_extreme_magnitudes_give_the_unscaled_rows(self, stub_provider, mode):
+        endpoint, state = stub_provider
+        texts = ["alpha", "beta", "count open orders"]
+        expected = embed_batch(texts, external_config(endpoint))
+        state["mode"] = mode
+        try:
+            rows = embed_batch(texts, external_config(endpoint))
+        finally:
+            state["mode"] = "ok"
+        assert np.array_equal(rows, expected)
+
     def test_missing_endpoint_rejected(self):
         config = SimilarityConfig(embedder="external", dimension=DIMENSION)
         with pytest.raises(EmbeddingProviderError) as err:

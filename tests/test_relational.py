@@ -99,6 +99,54 @@ def grouping_oracle(scope, catalog):
     return components
 
 
+def oracle_hyperedges(scope, catalog):
+    """``grouping_oracle``'s components as (key, members) pairs in hyperedge
+    order: key is the smallest lowercased member name, members are sorted."""
+    return sorted(
+        (
+            min(catalog.column(c).name.lower() for _, c in component),
+            tuple(sorted(component)),
+        )
+        for component in grouping_oracle(scope, catalog)
+    )
+
+
+def mixed_case_document(rng):
+    """A random schema document whose key names repeat across tables in mixed
+    case, with foreign keys between differently named columns and
+    self-references."""
+    pool = ["id", "code", "owner_ref", "parent_id", "sku", "region_key", "batch_no"]
+    tables = []
+    for t in range(rng.randint(2, 8)):
+        bases = rng.sample(pool, rng.randint(1, 4)) + ["label"]
+        columns = [
+            {
+                "name": "".join(c.upper() if rng.random() < 0.5 else c for c in base),
+                "primary_key": i == 0 or rng.random() < 0.2,
+            }
+            for i, base in enumerate(bases)
+        ]
+        tables.append({"name": f"t{t}", "columns": columns, "foreign_keys": []})
+    for table in tables:
+        for _ in range(rng.randint(0, 3)):
+            target = rng.choice(tables)
+            column = rng.choice(table["columns"])["name"]
+            # Any column of the target but the foreign key's own.
+            choices = [
+                c["name"]
+                for c in target["columns"]
+                if target is not table or c["name"] != column
+            ]
+            table["foreign_keys"].append(
+                {
+                    "column": column,
+                    "ref_table": target["name"],
+                    "ref_column": rng.choice(choices),
+                }
+            )
+    return {"tables": tables}
+
+
 class TestRenderEntity:
     def test_concat_names(self, shop_catalog):
         orders = shop_catalog.table(lookup_table(shop_catalog, "orders"))
@@ -177,6 +225,18 @@ class TestBuildHypergraph:
             assert all(
                 t in scope for e in hg.hyperedges for t, _ in e.members
             )
+
+    def test_mixed_case_catalogs_match_grouping_oracle(self):
+        rng = random.Random(25)
+        for _ in range(40):
+            catalog = load_catalog(mixed_case_document(rng))
+            all_ids = sorted(catalog.all_table_ids())
+            for _ in range(8):
+                scope = set(rng.sample(all_ids, rng.randint(1, len(all_ids))))
+                hg = build_hypergraph(scope, catalog, RankingConfig())
+                assert [(e.key, e.members) for e in hg.hyperedges] == (
+                    oracle_hyperedges(scope, catalog)
+                )
 
     def test_empty_scope_rejected(self, shop_catalog):
         with pytest.raises(ValueError, match="empty scope"):

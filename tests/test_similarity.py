@@ -127,6 +127,14 @@ class TestCosine:
         with pytest.raises(ValueError, match="dimension mismatch"):
             cosine_sim(np.ones(4), np.ones(5))
 
+    @pytest.mark.parametrize("peak", [4.9e-157, 0.03125 * 4.9e-157, 5e-324, 1e200])
+    def test_extreme_magnitude_keeps_its_cosine(self, peak):
+        # Squared, these underflow into subnormals or overflow to infinity.
+        u = np.array([0.0, peak, 0.0, 0.0])
+        v = np.array([0.0, 1.0, 0.0, 0.0])
+        assert cosine_sim(u, v) == 1.0
+        assert cosine_sim(u, u) == 1.0
+
     @given(
         st.lists(
             st.floats(min_value=-5, max_value=5, allow_nan=False),
