@@ -4,8 +4,8 @@ Given a natural-language question, the pipeline narrows a schema of
 hundreds of tables down to the relevant few and emits ranked table.column
 join candidates for a downstream SQL generator. Three stages cooperate:
 similarity search over past (question, SQL) chunks, similarity search over
-schema knowledge-graph triplets, and hypergraph ranking of join keys within
-the narrowed scope.
+schema knowledge-graph triplets, and ranking of the join keys within the
+narrowed scope.
 """
 
 from .catalog import (
@@ -53,6 +53,7 @@ from .relational import (
     SemanticEntity,
     build_hypergraph,
     hypergraph_rank,
+    rank_key_columns,
     render_entity,
 )
 from .similarity import (

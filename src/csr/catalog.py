@@ -38,16 +38,17 @@ class CatalogError(ValueError):
 
 def from_document(cls, doc, name: str, **parsers):
     """Build the dataclass ``cls`` from the JSON object ``doc``; ``parsers``
-    turn a nested field's raw value into its object. A non-object, a key
-    ``cls`` has no field for, a wrongly typed value or a failed check is a
-    ``ValueError`` that starts ``invalid {name}``."""
+    turn a nested field's non-null raw value into its object. A non-object,
+    a key ``cls`` has no field for, a wrongly typed value or a failed check
+    is a ``ValueError`` that starts ``invalid {name}``."""
     try:
         if not isinstance(doc, dict):
             raise ValueError("must be a JSON object")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
-        return cls(**{k: parsers[k](v) if k in parsers else v for k, v in doc.items()})
+        nested = {k: v for k, v in doc.items() if k in parsers and v is not None}
+        return cls(**{**doc, **{k: parsers[k](v) for k, v in nested.items()}})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid {name}: {exc}") from exc
 

@@ -3,10 +3,10 @@
 Each iteration runs the contextual retriever, then the structural one, both
 restricted to the previous iteration's table scope, and combines their
 table sets. Parameters shrink across iterations, so the scope chain is
-non-increasing; ``narrow`` runs this loop. ``run_pipeline`` then has the
-relational ranker build a hypergraph over the final scope and emit the top
-table.column join candidates. ``answer`` turns one ``QueryRequest`` into its
-response payload; ``csr query`` and ``POST /v1/retrieve`` both go through it.
+non-increasing; ``narrow`` runs this loop. ``run_pipeline`` then ranks the
+key columns of the final scope and emits the top h table.column join
+candidates. ``answer`` turns one ``QueryRequest`` into its response payload;
+``csr query`` and ``POST /v1/retrieve`` both go through it.
 
 Everything runs on the calling thread: the stages are pure Python, so a
 thread pool would only contend for the interpreter lock. Outputs are
@@ -17,7 +17,7 @@ between runs, and they are excluded from the canonical payload.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Literal
 
@@ -30,7 +30,7 @@ from .catalog import (
     read_json,
 )
 from .contextual import ChunkIndex, retrieve_contextual
-from .relational import RankingConfig, SemanticEntity, build_hypergraph, hypergraph_rank
+from .relational import RankingConfig, SemanticEntity, rank_key_columns
 from .similarity import SimilarityConfig
 from .structural import KnowledgeGraph, retrieve_structural
 
@@ -216,14 +216,8 @@ def run_pipeline(
         question, chunk_index, graph, schedule, config.contextual_scope_mode
     )
     t0 = time.perf_counter_ns()
-    hypergraph = build_hypergraph(per_stage[-1].scope, catalog, config.ranking, unavailable)
-    entities = hypergraph_rank(
-        hypergraph,
-        question,
-        replace(config.ranking, h=schedule.steps[-1][2]),
-        config.similarity,
-        catalog,
-    )
+    scope, h = per_stage[-1].scope, schedule.steps[-1][2]
+    entities = rank_key_columns(scope, question, h, config.similarity, catalog, unavailable)
     t1 = time.perf_counter_ns()
     timings = {
         "contextual": sum(t.contextual_us for t in per_stage),

@@ -1,17 +1,19 @@
-"""Join-candidate ranking over a hypergraph of the narrowed table scope.
+"""Join-candidate ranking over the narrowed table scope.
 
-Tables are nodes; each hyperedge is a group of key columns likely to be
-joined on in one SQL query. A group is a set of lowercased key-column names,
-found by union-find over the names: key columns that share a name are always
-in one group, which recovers undeclared enterprise join conventions (shared
-key names without FK constraints), and a declared foreign key merges its two
-endpoints' groups. The result does not depend on iteration order.
+A query ranks the scope's key columns directly (``rank_key_columns``): the
+primary keys and foreign-key columns of its tables, and each foreign key's
+target when that table is in scope. Unavailable tables are dropped before any
+scoring; each ``table.column`` rendering is compared to the question, and the
+top h come back by descending score, ties by ascending (table, column).
 
-Ranking scores every (node, hyperedge) incidence: the table.column rendering
-is compared to the question, the similarity is divided by the node weight
-(zero-weight nodes score zero), unavailable nodes are skipped entirely, and
-the top h entities come back in descending score order with ties broken by
-ascending (table, column).
+``build_hypergraph`` groups the same key columns to explain that ranking.
+Tables are nodes; each hyperedge is a group of lowercased key-column names,
+found by union-find over the names: key columns that share a name are one
+group, which recovers undeclared enterprise join conventions (shared key names
+without FK constraints), and a declared foreign key merges its two endpoints'
+groups. The result does not depend on iteration order. ``hypergraph_rank``
+divides each incidence's similarity by its node's weight (zero-weight nodes
+score zero); every node built here weighs 1, so it ranks as the query does.
 """
 
 from __future__ import annotations
@@ -90,20 +92,7 @@ def build_hypergraph(
     if stray:
         raise ValueError(f"scope references unknown table ids: {sorted(stray)}")
 
-    # Every key column's owner, and the declared links between them.
-    owners: dict[ColumnId, TableId] = {}
-    links: list[tuple[ColumnId, ColumnId]] = []
-    for tid in scope:
-        table = catalog.table(tid)
-        for col in table.columns:
-            if col.is_primary_key:
-                owners[col.id] = tid
-        for fk in table.foreign_keys:
-            owners[fk.from_column] = tid
-            if fk.to_table in scope:
-                owners[fk.to_column] = fk.to_table
-                links.append((fk.from_column, fk.to_column))
-
+    owners, links = _key_columns(scope, catalog)
     names = {cid: catalog.column(cid).name.lower() for cid in owners}
     parent = {name: name for name in names.values()}
 
@@ -134,6 +123,21 @@ def build_hypergraph(
     )
 
 
+def rank_key_columns(
+    scope: set[TableId],
+    question: str,
+    h: int,
+    sim: SimilarityConfig,
+    catalog: SchemaCatalog,
+    unavailable: set[TableId] | frozenset[TableId] = frozenset(),
+) -> list[SemanticEntity]:
+    """The top h key columns of the scope's available tables: what
+    ``hypergraph_rank`` returns for ``build_hypergraph``'s hypergraph."""
+    owners, _links = _key_columns(scope, catalog)
+    incidences = [(tid, cid, 1.0) for cid, tid in owners.items() if tid not in unavailable]
+    return _rank(incidences, question, h, sim, catalog)
+
+
 def hypergraph_rank(
     hypergraph: Hypergraph,
     question: str,
@@ -141,41 +145,60 @@ def hypergraph_rank(
     sim: SimilarityConfig,
     catalog: SchemaCatalog,
 ) -> list[SemanticEntity]:
-    """Score every available (node, hyperedge) incidence and keep the top h.
+    """Rank every (node, hyperedge) incidence of an available node, each
+    weighted by its node's weight, and keep the top ``config.h``."""
+    incidences = [
+        (tid, cid, hypergraph.weights.get(tid, 0.0))
+        for edge in hypergraph.hyperedges
+        for tid, cid in edge.members
+        if hypergraph.availability.get(tid, True)
+    ]
+    return _rank(incidences, question, config.h, sim, catalog)
 
-    Incidences of unavailable nodes are skipped before any scoring. The
-    similarity of question and rendered entity is divided by the node weight;
-    nodes with non-positive weight score exactly zero. For the cosine metric
-    the idf statistics come from the candidate surfaces themselves, so the
-    ranking depends only on the hypergraph, catalog, and question.
-    """
-    incidences: list[tuple[TableId, ColumnId, str]] = []
-    counts = []
-    for edge in hypergraph.hyperedges:
-        for tid, cid in edge.members:
-            if not hypergraph.availability.get(tid, True):
-                continue
-            surface, terms = _entity_terms(catalog, tid, cid)
-            incidences.append((tid, cid, surface))
-            counts.append(terms)
 
+def _key_columns(scope: set[TableId], catalog: SchemaCatalog):
+    """Every key column of the scope with its owner, and the foreign keys
+    with both endpoints in scope as (from_column, to_column) links."""
+    owners: dict[ColumnId, TableId] = {}
+    links: list[tuple[ColumnId, ColumnId]] = []
+    for tid in scope:
+        table = catalog.table(tid)
+        for col in table.columns:
+            if col.is_primary_key:
+                owners[col.id] = tid
+        for fk in table.foreign_keys:
+            owners[fk.from_column] = tid
+            if fk.to_table in scope:
+                owners[fk.to_column] = fk.to_table
+                links.append((fk.from_column, fk.to_column))
+    return owners, links
+
+
+def _rank(
+    incidences: list[tuple[TableId, ColumnId, float]],
+    question: str,
+    h: int,
+    sim: SimilarityConfig,
+    catalog: SchemaCatalog,
+) -> list[SemanticEntity]:
+    """Score each (table, column, weight) incidence, similarity over weight,
+    and keep the top h. Cosine idf comes from the candidate surfaces alone,
+    so the ranking depends only on the incidences, catalog and question."""
     if not incidences:
         return []
-
-    tables, columns, surfaces = zip(*incidences)
-    vectors = None
-    if sim.embedder == "external":
-        vectors = embed_batch(list(surfaces), sim)
-    corpus = Corpus(counts, sim, vectors)
+    tables, columns, weights = zip(*incidences)
+    surfaces, counts = zip(*(_entity_terms(catalog, t, c) for t, c, _ in incidences))
+    vectors = embed_batch(list(surfaces), sim) if sim.embedder == "external" else None
+    corpus = Corpus(list(counts), sim, vectors)
     qvec = embed(question, sim, corpus.stats) if sim.metric == "cosine" else None
     similarity = corpus.score(question, qvec)
 
-    weights = np.array([hypergraph.weights.get(tid, 0.0) for tid in tables])
+    weights = np.array(weights)
     scores = np.divide(
         similarity, weights, out=np.zeros_like(similarity), where=weights > 0
     )
     # Descending score, ties by ascending (table, column).
-    top = np.lexsort((columns, tables, -scores))[: config.h].tolist()
+    top = np.lexsort((columns, tables, -scores))[:h].tolist()
     return [
         SemanticEntity(tables[i], columns[i], surfaces[i], float(scores[i]))
         for i in top

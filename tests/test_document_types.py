@@ -98,6 +98,12 @@ def test_a_wrongly_typed_field_is_rejected_naming_it(doc, name):
             {"question": "q", "schedule_override": {"steps": [[4, 8, 6], [2, 4, 4]]}},
             QueryRequest("q", SCHEDULE),
         ),
+        (
+            QueryRequest.from_dict,
+            {"question": "q", "schedule_override": None},
+            QueryRequest("q"),
+        ),
+        (PipelineConfig.from_dict, {"schedule": None}, PipelineConfig()),
     ],
     ids=[
         "profile-defaults",
@@ -107,10 +113,20 @@ def test_a_wrongly_typed_field_is_rejected_naming_it(doc, name):
         "config-list-in-tuple",
         "schedule-lists-in-tuples",
         "request-schedule-lists",
+        "request-schedule-null",
+        "config-schedule-null",
     ],
 )
 def test_a_correctly_typed_document_loads_to_an_equal_object(load, doc, expected):
     assert load(doc) == expected
+
+
+@pytest.mark.parametrize("section", ["similarity", "ranking"])
+def test_a_required_section_given_as_null_is_rejected_naming_it(section):
+    with pytest.raises(
+        ValueError, match=f"^invalid pipeline config: {section} must be "
+    ):
+        PipelineConfig.from_dict({section: None})
 
 
 def test_a_schedule_built_from_lists_holds_tuples():

@@ -178,10 +178,10 @@ class TestSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep ranked join candidates")
 
-        import csr.pipeline as pipeline_module
+        import csr.relational as relational_module
 
-        monkeypatch.setattr(pipeline_module, "build_hypergraph", refuse)
-        monkeypatch.setattr(pipeline_module, "hypergraph_rank", refuse)
+        # Every ranking, the pipeline's and the hypergraph's, goes through it.
+        monkeypatch.setattr(relational_module, "_rank", refuse)
         assert run_sweep(catalog, trace, schedules, config) == expected
 
     def test_default_sweep_schedules_are_valid(self):

@@ -1,14 +1,17 @@
 import dataclasses
 import json
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from csr import contextual, relational, structural
-from csr.catalog import load_catalog
+from csr import pipeline as pipeline_module
+from csr.catalog import load_catalog, lookup_tables
 
 from csr.contextual import build_chunk_index, retrieve_contextual
+from csr.evaluation import split_trace
 from csr.pipeline import (
     IterationSchedule,
     PipelineConfig,
@@ -18,7 +21,7 @@ from csr.pipeline import (
     narrow,
     run_pipeline,
 )
-from csr.relational import build_hypergraph, hypergraph_rank
+from csr.relational import RankingConfig, build_hypergraph, hypergraph_rank
 from csr.similarity import Corpus, SimilarityConfig
 from csr.structural import build_knowledge_graph, retrieve_structural
 from csr.synthetic import GeneratorProfile, generate_synthetic
@@ -172,6 +175,50 @@ class TestRunPipeline:
 
         orders = lookup_table(shop_catalog, "orders")
         assert all(e.table != orders for e in output.entities)
+
+
+class TestKeyColumnRanking:
+    """``run_pipeline`` ranks the final scope's key columns without a
+    hypergraph; ``hypergraph_rank(build_hypergraph(...))`` is its oracle."""
+
+    @pytest.mark.parametrize("metric", ["cosine", "bm25"])
+    @pytest.mark.parametrize("variants", [4, 1], ids=["warm", "cold"])
+    def test_entities_equal_the_hypergraph_ranking(self, variants, metric, monkeypatch):
+        catalog, trace = generate_synthetic(
+            GeneratorProfile(
+                table_count=120, query_count=128, variants_per_group=variants, seed=26
+            )
+        )
+        sim = SimilarityConfig(dimension=256, metric=metric)
+        build, held = split_trace(trace)
+        index = build_chunk_index(build, catalog, sim)
+        graph = build_knowledge_graph(catalog, sim)
+        schedule = default_schedule(len(catalog.tables))
+        ranking = RankingConfig(h=schedule.steps[-1][2])
+        rng = random.Random(26)
+        cases = []
+        for entry in held:
+            question = entry["question"]
+            scope = narrow(question, index, graph, schedule, "intersect")[-1].scope
+            names = sorted(catalog.table(t).name for t in scope)
+            # None, a third, and all of the scope unavailable.
+            for down in ([], rng.sample(names, len(names) // 3), names):
+                hg = build_hypergraph(scope, catalog, ranking, lookup_tables(catalog, down))
+                expected = hypergraph_rank(hg, question, ranking, sim, catalog)
+                config = PipelineConfig(similarity=sim, unavailable_tables=tuple(down))
+                cases.append((question, config, expected))
+        assert sum(bool(expected) for _, _, expected in cases) >= len(held)
+        assert all(not expected for _, _, expected in cases[2::3])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the query built a hypergraph")
+
+        for module in (relational, pipeline_module):
+            for name in ("build_hypergraph", "hypergraph_rank"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for question, config, expected in cases:
+            output = run_pipeline(question, index, graph, catalog, schedule, config)
+            assert output.entities == expected
 
 
 class TestNarrow:

@@ -218,6 +218,17 @@ class TestEndpoints:
         assert resp.status_code == 200
         assert len(resp.json()["entities"]) <= 2
 
+    def test_null_optional_fields_answer_as_if_omitted(self, running_service):
+        base, _ = running_service
+        bare = {"question": "customer orders"}
+        nulls = {**bare, "schedule_override": None, "max_entities": None}
+        answers = [
+            requests.post(base + "/v1/retrieve", json=doc, timeout=10)
+            for doc in (bare, nulls)
+        ]
+        assert [r.status_code for r in answers] == [200, 200]
+        assert answers[1].json() == answers[0].json()
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_non_boolean_include_timings_is_400(self, running_service, value):
         base, _ = running_service
