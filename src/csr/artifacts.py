@@ -23,6 +23,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -128,7 +131,8 @@ def save_index(
     config: PipelineConfig,
 ) -> dict:
     """Write the catalog, the labelled chunks, the external embedder's
-    matrices, and the self-hashed manifest."""
+    matrices, and the self-hashed manifest; an index already in ``out_dir``
+    is replaced only once every new file is written."""
     _check_unavailable(catalog, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,8 +156,6 @@ def save_index(
         files["chunk_vectors.npy"] = _npy("chunk_vectors", chunk_index.corpus.vectors)
         files["graph_vectors.npy"] = _npy("graph_vectors", graph.corpus.vectors)
 
-    for name, data in files.items():
-        (out / name).write_bytes(data)
     manifest: dict = {
         "format_version": FORMAT_VERSION,
         "schema_version": schema_version_of(catalog),
@@ -161,7 +163,20 @@ def save_index(
         "files": {name: _sha256(data) for name, data in files.items()},
     }
     manifest[SELF_HASH] = _self_hash(manifest)
-    (out / MANIFEST_NAME).write_bytes(_canonical_json(manifest))
+    files[MANIFEST_NAME] = _canonical_json(manifest)  # moved in last
+
+    # Every file is written into a directory inside ``out``, so on its
+    # filesystem, and then moved over its old copy: a failed write leaves
+    # the old index whole. A crash inside the replace loop can still leave
+    # new data files beside the old manifest, which loading then rejects.
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        for name, data in files.items():
+            (staging / name).write_bytes(data)
+        for name in files:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return manifest
 
 

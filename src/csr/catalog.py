@@ -135,8 +135,8 @@ def _describe(annotation, many: bool = False) -> str:
     args = get_args(annotation)
     if get_origin(annotation) is Literal:
         return "one of " + ", ".join(map(repr, args))
-    if not args:
-        return _JSON_NAMES.get(annotation, (annotation.__name__,) * 2)[many]
+    if not args:  # bool, int, float, str, list or a dataclass
+        return _JSON_NAMES.get(annotation, ("a JSON object", "JSON objects"))[many]
     if type(None) in args:
         return f"{_describe(args[0], many)} or null"
     fixed = args[-1] is not Ellipsis and get_origin(annotation) is tuple

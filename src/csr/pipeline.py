@@ -260,13 +260,7 @@ def build_query_response(
     """QueryResponse payload; timing fields are opt-in because they are the
     only non-deterministic part of the output."""
     payload = {
-        "entities": [
-            {
-                "entity": f"{catalog.table(e.table).name}.{catalog.column(e.column).name}",
-                "score": e.score,
-            }
-            for e in output.entities
-        ],
+        "entities": [{"entity": e.surface, "score": e.score} for e in output.entities],
         "tables": sorted(catalog.table(t).name for t in output.tables),
         "schema_version": schema_version,
     }

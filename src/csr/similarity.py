@@ -364,16 +364,18 @@ class Corpus:
     """One scored document set, indexed once into posting lists.
 
     Documents come as term counts (``token_counts``); the corpus computes
-    their statistics (``stats``) itself. BM25 indexes every term's documents
-    with their term frequencies. Cosine indexes every hash bucket's documents
-    with their weights, taken from ``vectors`` when given (the external
-    embedder's, one row per document) and otherwise computed from the counts
-    by the built-in embedder; it also keeps each row's 1-D norm.
+    their statistics (``stats``) itself. Both metrics keep one posting list
+    per key. BM25's keys are terms, and each posting holds the term's
+    finished ``bm25_score`` contribution to its document. Cosine's keys are
+    hash buckets, and each posting holds the document's weight, taken from
+    ``vectors`` when given (the external embedder's, one row per document)
+    and otherwise computed from the counts by the built-in embedder; cosine
+    also keeps each row's 1-D norm.
 
-    :meth:`score` applies ``bm25_score``'s or ``cosine_sim``'s arithmetic in
-    their order, one question term or bucket at a time, so its scores equal
-    theirs bit for bit. It scores every document: callers select their
-    candidates from the array. A corpus is read-only after construction.
+    :meth:`score` adds the postings of one question term or bucket at a time,
+    in ``bm25_score``'s or ``cosine_sim``'s order, so its scores equal theirs
+    bit for bit. It scores every document: callers select their candidates
+    from the array. A corpus is read-only after construction.
     """
 
     def __init__(
@@ -387,29 +389,29 @@ class Corpus:
         self.vectors = vectors  # (documents, dimension) when given
         self._size = len(counts)
         if config.metric == "bm25":
-            self._index_terms(counts)
+            self._postings = self._term_postings(counts)
         else:
-            self._index_buckets(counts)
+            self._postings = self._bucket_postings(counts)
 
-    def _index_terms(self, counts: Sequence[Counter[str]]) -> None:
+    def _term_postings(self, counts: Sequence[Counter[str]]) -> _Postings:
         flat = list(chain.from_iterable(counts))
-        term_ids = {term: key for key, term in enumerate(dict.fromkeys(flat))}
-        keys = [term_ids[term] for term in flat]
+        self._term_ids = {term: key for key, term in enumerate(dict.fromkeys(flat))}
+        keys = np.fromiter(map(self._term_ids.__getitem__, flat), np.int64, len(flat))
         docs = np.repeat(np.arange(len(counts)), [len(terms) for terms in counts])
-        tfs = [tf for terms in counts for tf in terms.values()]
-        postings = _Postings.group(keys, docs, tfs, len(term_ids))
-        k1, b, avg = self.config.bm25_k1, self.config.bm25_b, self.stats.avg_doc_len
-        lengths = np.array([sum(terms.values()) for terms in counts], dtype=np.int64)
-        len_ratio = lengths / avg if avg > 0 else np.zeros(len(counts))
-        # bm25_score's denominator is tf + k1 * (1 - b + b * len_ratio).
-        length_part = k1 * (1 - b + b * len_ratio)
-        tf = postings.values
-        self._term_ids = term_ids
-        self._terms = postings
-        self._bm25_num = tf * (k1 + 1)
-        self._bm25_den = tf + length_part[postings.docs]
+        tf = np.array([n for terms in counts for n in terms.values()], dtype=np.float64)
+        lengths = np.array([sum(terms.values()) for terms in counts], dtype=np.float64)
+        k1, b = self.config.bm25_k1, self.config.bm25_b
+        n_docs, df = self.stats.doc_count, self.stats.doc_freq
+        idf = np.array(
+            [math.log(1 + (n_docs - df[t] + 0.5) / (df[t] + 0.5)) for t in self._term_ids]
+        )
+        # A posting's document has tokens, so with any posting the average is > 0.
+        len_ratio = lengths[docs] / self.stats.avg_doc_len
+        # bm25_score's term, in its operation order.
+        values = idf[keys] * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * len_ratio))
+        return _Postings.group(keys, docs, values, len(self._term_ids))
 
-    def _index_buckets(self, counts: Sequence[Counter[str]]) -> None:
+    def _bucket_postings(self, counts: Sequence[Counter[str]]) -> _Postings:
         if self.vectors is not None:
             rows = _rescaled(self.vectors)  # as cosine_sim rescales them
             # Same entries as flatnonzero(rows); a boolean mask is faster.
@@ -421,40 +423,31 @@ class Corpus:
             raise ValueError("a corpus for the external embedder needs its vectors")
         else:
             docs, buckets, weights, norms = _hashed_rows(counts, self.config, self.stats)
-        self._buckets = _Postings.group(buckets, docs, weights, self.config.dimension)
         self._norms = np.array(norms, dtype=np.float64)
+        return _Postings.group(buckets, docs, weights, self.config.dimension)
 
     def score(self, question: str, qvec: np.ndarray | None) -> np.ndarray:
         """Similarity of the question to every document, in id order.
         Cosine needs the question's vector ``qvec``; BM25 ignores it.
         """
         acc = np.zeros(self._size, dtype=np.float64)
-        if self.config.metric == "bm25":
-            self._add_bm25(acc, question)
-            return acc
-        qvec = _rescaled(qvec)
-        qnorm = float(np.linalg.norm(qvec))
-        if qnorm == 0.0:
-            return acc
-        postings = self._buckets
-        indptr, docs, weights = postings.indptr, postings.docs, postings.values
-        for bucket in np.flatnonzero(qvec).tolist():
-            lo, hi = indptr[bucket], indptr[bucket + 1]
+        bm25 = self.config.metric == "bm25"
+        if bm25:
+            # Question order, duplicates kept: bm25_score counts them twice.
+            keys = [self._term_ids[t] for t in tokenize(question) if t in self._term_ids]
+        else:
+            qvec = _rescaled(qvec)
+            qnorm = float(np.linalg.norm(qvec))
+            if qnorm == 0.0:
+                return acc
+            keys = np.flatnonzero(qvec).tolist()
+        postings = self._postings
+        indptr, docs, values = postings.indptr, postings.docs, postings.values
+        for key in keys:
+            lo, hi = indptr[key], indptr[key + 1]
             if lo < hi:
-                acc[docs[lo:hi]] += qvec[bucket] * weights[lo:hi]
+                acc[docs[lo:hi]] += values[lo:hi] if bm25 else qvec[key] * values[lo:hi]
+        if bm25:
+            return acc
         denom = qnorm * self._norms
         return np.divide(acc, denom, out=np.zeros_like(acc), where=denom != 0.0)
-
-    def _add_bm25(self, acc: np.ndarray, question: str) -> None:
-        stats, postings = self.stats, self._terms
-        for term in tokenize(question):
-            key = self._term_ids.get(term)
-            if key is None:
-                continue
-            lo, hi = postings.indptr[key], postings.indptr[key + 1]
-            n = stats.doc_freq[term]
-            idf = math.log(1 + (stats.doc_count - n + 0.5) / (n + 0.5))
-            acc[postings.docs[lo:hi]] += (
-                idf * self._bm25_num[lo:hi] / self._bm25_den[lo:hi]
-            )
-

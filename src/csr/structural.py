@@ -4,8 +4,9 @@ The graph holds one triplet per column: (column, "is a column of", table),
 rendered as a short sentence that carries the available descriptions. No
 language model is involved in construction, so rebuilding from the same
 catalog always yields the same graph. Retrieval scores the triplet surfaces
-through the corpus's posting lists; triplets are stored contiguously per
-table, so a table scope selects candidate ranges.
+through the corpus's posting lists; the graph keeps each triplet's table id
+in one array, so a table scope selects its candidates with one membership
+test.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ class Triplet:
 
 @dataclass
 class KnowledgeGraph:
-    triplets: list[Triplet]  # in (table, column) order: contiguous per table
+    triplets: list[Triplet]  # in (table, column) order
     corpus: Corpus  # over the triplet surfaces, in triplet order
-    table_spans: dict[TableId, tuple[int, int]]  # table -> [first, end) triplet
+    table_ids: np.ndarray  # each triplet's table, in triplet order
 
     def __len__(self) -> int:
         return len(self.triplets)
@@ -78,15 +79,12 @@ def build_knowledge_graph(
     from the term counts inside the corpus.
     """
     triplets: list[Triplet] = []
-    table_spans: dict[TableId, tuple[int, int]] = {}
     for table in catalog.tables:
-        first = len(triplets)
         for col in table.columns:
             surface = triplet_surface(
                 col.name, table.name, col.description, table.description
             )
             triplets.append(Triplet(field=col.id, table=table.id, surface=surface))
-        table_spans[table.id] = (first, len(triplets))
 
     surfaces = [t.surface for t in triplets]
     if vectors is None and config.embedder == "external":
@@ -95,7 +93,7 @@ def build_knowledge_graph(
     return KnowledgeGraph(
         triplets=triplets,
         corpus=Corpus(counts, config, vectors),
-        table_spans=table_spans,
+        table_ids=np.array([t.table for t in triplets], dtype=np.int64),
     )
 
 
@@ -119,10 +117,7 @@ def retrieve_structural(
     if scope is None:
         candidate_ids = np.arange(len(graph.triplets))
     else:
-        spans = [graph.table_spans[t] for t in sorted(scope) if t in graph.table_spans]
-        candidate_ids = np.concatenate(
-            [np.arange(first, end) for first, end in spans] or [np.arange(0)]
-        )
+        candidate_ids = np.flatnonzero(np.isin(graph.table_ids, list(scope)))
 
     if scores is None:
         corpus = graph.corpus
@@ -130,5 +125,5 @@ def retrieve_structural(
         qvec = embed(question, corpus.config, corpus.stats) if cosine else None
         scores = corpus.score(question, qvec)
     ranked = top_k_exact(scores[candidate_ids], candidate_ids, l)
-    tables = {graph.triplets[i].table for i, _ in ranked}
+    tables = set(graph.table_ids[[i for i, _ in ranked]].tolist())
     return StructuralResult(ranked_triplets=ranked, tables=tables, scores=scores)

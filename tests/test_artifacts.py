@@ -21,7 +21,7 @@ from csr.artifacts import (
     save_index,
     schema_version_of,
 )
-from csr.catalog import to_document
+from csr.catalog import load_catalog, to_document
 from csr.cli import main
 from csr.contextual import build_chunk_index
 from csr.pipeline import IterationSchedule, PipelineConfig
@@ -127,6 +127,33 @@ def test_writes_only_what_builders_cannot_derive(built, tmp_path):
     ]
     chunk = json.loads((tmp_path / "chunks.json").read_text())["chunks"][0]
     assert sorted(chunk) == ["columns", "question", "sql", "tables"]
+
+
+def test_a_failed_save_over_an_index_leaves_it_loadable(built, tmp_path, monkeypatch):
+    catalog, index, graph, config = built
+    save_index(tmp_path, catalog, index, graph, config)
+    doc = to_document(catalog)
+    doc["tables"][0]["description"] = "a new description"
+    other = _build(load_catalog(doc), config.similarity)
+    writes = []
+    write_bytes = Path.write_bytes
+
+    def second_write_fails(path, data):
+        writes.append(path.name)
+        if len(writes) == 2:
+            raise OSError("no space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", second_write_fails)
+    with pytest.raises(OSError, match="no space left"):
+        save_index(tmp_path, *other)
+    monkeypatch.undo()
+    assert to_document(load_index(tmp_path)[0]) == to_document(catalog)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "catalog.json",
+        "chunks.json",
+        "manifest.json",
+    ]
 
 
 def test_hashed_index_loads_without_vector_files(built, tmp_path, monkeypatch):

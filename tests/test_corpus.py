@@ -96,15 +96,23 @@ def test_dense_external_vectors_equal_cosine_sim(rows, dimension, seed, data):
     assert corpus.score("unused", qvec)[ids].tolist() == want
 
 
-def test_zero_question_and_empty_documents_score_zero():
-    config = SimilarityConfig(dimension=64)
+@pytest.mark.parametrize("metric", ["cosine", "bm25"])
+def test_zero_question_and_empty_documents_score_zero(metric):
+    config = SimilarityConfig(metric=metric, dimension=64)
+
+    def scores(texts, question):
+        corpus = corpus_of(texts, config)
+        stats = build_corpus_stats(texts)
+        qvec = embed(question, config, stats) if metric == "cosine" else None
+        return corpus.score(question, qvec).tolist()
+
     texts = ["", "order total", "--"]
-    corpus = corpus_of(texts, config)
-    stats = build_corpus_stats(texts)
-    assert corpus.score("?!", embed("?!", config, stats)).tolist() == [0.0] * 3
-    qvec = embed("order", config, stats)
-    scores = corpus.score("order", qvec).tolist()
-    assert scores[0] == scores[2] == 0.0 and scores[1] > 0.0
+    assert scores(texts, "?!") == [0.0] * 3
+    got = scores(texts, "order")
+    assert got[0] == got[2] == 0.0 and got[1] > 0.0
+    # Every document empty: no term has a posting and the average length is 0.
+    assert scores(["", "--", " "], "order total") == [0.0] * 3
+    assert scores([], "order") == []
 
 
 def test_tiny_and_huge_vectors_score_alike_in_both():

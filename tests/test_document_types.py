@@ -124,9 +124,14 @@ def test_a_correctly_typed_document_loads_to_an_equal_object(load, doc, expected
 @pytest.mark.parametrize("section", ["similarity", "ranking"])
 def test_a_required_section_given_as_null_is_rejected_naming_it(section):
     with pytest.raises(
-        ValueError, match=f"^invalid pipeline config: {section} must be "
+        ValueError, match=f"^invalid pipeline config: {section} must be a JSON object$"
     ):
         PipelineConfig.from_dict({section: None})
+
+
+def test_an_optional_section_of_the_wrong_type_is_named_in_json_terms():
+    with pytest.raises(ValueError, match="^schedule must be a JSON object or null$"):
+        PipelineConfig(schedule=5)
 
 
 def test_a_schedule_built_from_lists_holds_tuples():

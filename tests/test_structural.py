@@ -138,10 +138,9 @@ class TestRetrieve:
         for _ in range(25):
             question = " ".join(rng.choices(vocab, k=rng.randint(1, 4)))
             l = rng.randint(1, len(graph))
-            scope = (
-                None
-                if rng.random() < 0.5
-                else set(rng.sample(range(len(catalog.tables)), 5))
+            table_ids = range(len(catalog.tables))
+            scope = rng.choice(
+                [None, set(), set(table_ids), set(rng.sample(table_ids, 5))]
             )
             result = retrieve_structural(graph, question, l=l, scope=scope)
             ranked, tables = structural_oracle(graph, question, l, scope)
